@@ -5,7 +5,7 @@ Subcommands:
   mp           ESD of the raw Gram matrix vs Marchenko-Pastur
   moments      trace-moment statistics of the centered matrix over repeats
   code-info    structural code report (dual distance, weights, coherence)
-  paths-audit  brute-force audit of the closed-walk counting identities
+  paths-audit  exact audit of the closed-walk counting identities
 
 Every emitted JSON embeds the resolved config and sha256 checksums of the
 artifact files, so identical (config, seed) runs are byte-comparable.
@@ -73,7 +73,10 @@ def resolve_code(cfg: ExperimentConfig) -> LinearCode:
     if cfg.code == "file":
         if cfg.file is None:
             raise ParameterError("file code needs --file")
-        return load_generator(cfg.file)
+        try:
+            return load_generator(cfg.file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"cannot read --file {cfg.file}: {exc}") from None
     raise ParameterError(f"unknown code selector: {cfg.code!r}")
 
 
@@ -111,6 +114,10 @@ def _run_esd_experiment(
     cfg: ExperimentConfig, code: LinearCode, p: int, law: LawSpec,
     mode: str, centered: bool,
 ) -> dict:
+    if cfg.repeats < 1:
+        raise ParameterError(f"need --repeats >= 1, got {cfg.repeats}")
+    if cfg.bins < 1:
+        raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_repeat = []

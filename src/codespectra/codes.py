@@ -188,13 +188,17 @@ def parse_generator(text: str, label: str = "file") -> LinearCode:
     tokens = text.split()
     if len(tokens) < 3:
         raise ParameterError("generator file needs a 'q n k' header")
-    q, n, k = (int(v) for v in tokens[:3])
-    body = tokens[3:]
-    if len(body) != k * n:
+    try:
+        values = [int(v) for v in tokens]
+    except ValueError as exc:
+        raise ParameterError(f"generator file: {exc}") from None
+    q, n, k = values[:3]
+    body = values[3:]
+    if k < 1 or n < 1 or len(body) != k * n:
         raise ParameterError(
             f"expected {k}x{n} entries after the header, got {len(body)}"
         )
-    gen = np.array([int(v) for v in body], dtype=np.int64).reshape(k, n)
+    gen = np.array(body, dtype=np.int64).reshape(k, n)
     return LinearCode(q=q, generator=gen, label=label)
 
 

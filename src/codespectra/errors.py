@@ -9,7 +9,7 @@ class ParameterError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A brute-force budget would be exceeded; nothing was computed."""
+    """A computation budget would be exceeded; nothing was computed."""
 
 
 class ContractViolationError(RuntimeError):

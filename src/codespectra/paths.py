@@ -1,11 +1,32 @@
-"""Closed-walk combinatorics: canonical classes, double trees, solution counts.
+"""Closed-walk combinatorics: canonical classes, double trees, exact counts.
 
 A closed walk gamma: [0..l] -> [1..p] is stored canonically (labels appear
 in first-use order), one representative per relabeling orbit.  Every walk
 carries a system of per-vertex column-sum equations over the generator
-matrix; the number of its solutions W equals the exact all-maps average of
-the walk's inner-product product, which is what the brute-force auditors
-here verify on small codes.
+matrix; the number W of its solutions equals the exact all-maps average of
+the walk's inner-product product.  `paths_audit` computes both sides of
+that identity independently and compares them.
+
+Column side (W, W_pair): each vertex equation becomes a 0/1 tensor over
+the distinct column variables left in it once repeated variables have
+merged their coefficients; the entry is 1 where the signed column sum
+vanishes mod q (for binary codes, where the XOR of the packed columns is
+0).  W is one einsum over these tensors, times n for every variable that
+no equation constrains.
+
+Codeword side (expect_omega): the all-maps sum is the codeword Gram
+matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
+contributes <s(c), s(c)> = n, the diagonal of K.  Since K is unchanged
+when one codeword is added to both arguments, the sum is N times its part
+with the walk's first vertex pinned to the zero codeword: a walk on v
+vertices is a contraction over v - 1 codeword indices, edges at the first
+vertex read only the row K[0, :], and the full N x N matrix is built only
+for v >= 3, where the budget keeps N small.  The injective sum follows by
+Moebius inversion over the set partitions of the walk's vertices: each
+partition contributes the all-maps sum of the quotient walk, weighted by
+prod over blocks B of (-1)^(|B|-1) (|B|-1)!.  Binary codes keep K and
+every partial sum in int64, so their expectations are exact ratios of
+integers.
 
 Double-tree detection: self-loop steps cancel singly, the remaining steps
 must cancel as adjacent reversals (stack reduction), and the vertex count
@@ -19,19 +40,25 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, perm
 
 import numpy as np
 
 from .codes import LinearCode, pack_columns
 from .errors import ParameterError, ResourceError
-from .signal import char_map, index_to_message
+from .signal import char_map
 
 MAX_LENGTH = 10
+# Column-side budgets on n^l (walks) and n^(2l) (pairs): no vertex tensor
+# has more entries, and every partial sum of the contraction is a count no
+# larger, so at 10^8 the int32 einsum is exact.
 W_BUDGET = 10**8
 PAIR_BUDGET = 10**8
+# Codeword-side budget on N^v * l * n.  With n^l <= W_BUDGET it keeps
+# N^v * n^l, which bounds every partial sum of a binary Gram contraction,
+# below 2^63; for v >= 3, the only walks that read the full N x N Gram,
+# it keeps that matrix under 5 * 10^5 entries.
 OMEGA_BUDGET = 10**9
-_CHUNK = 1 << 18
 
 MODE_ALL_MAPS = "all_maps"
 MODE_INJECTIVE = "injective"
@@ -90,20 +117,30 @@ def enumerate_closed_classes(length: int, simple: bool) -> list[ClosedPath]:
     """All canonical classes of closed walks of the given length."""
     if not 1 <= length <= MAX_LENGTH:
         raise ParameterError(f"length must lie in [1, {MAX_LENGTH}], got {length}")
-    out: list[ClosedPath] = []
+    return [
+        ClosedPath(seq + (1,))
+        for seq in _growth_strings(length, simple)
+        if not (simple and seq[-1] == 1)
+    ]
 
-    def extend(seq: list[int], max_used: int) -> None:
+
+def _growth_strings(length: int, simple: bool, first: int = 1, used: int = 1):
+    """Label sequences of the given length that start at `first` and never
+    exceed one above the largest label so far (counting `used` as seen), in
+    lexicographic order; `simple` forbids equal neighbours.  With the
+    defaults these are the restricted-growth strings, one per set partition
+    of `length` items."""
+
+    def extend(seq: list[int], max_used: int):
         if len(seq) == length:
-            if not (simple and seq[-1] == 1):
-                out.append(ClosedPath(tuple(seq) + (1,)))
+            yield tuple(seq)
             return
         for lab in range(1, max_used + 2):
             if simple and lab == seq[-1]:
                 continue
-            extend(seq + [lab], max(max_used, lab))
+            yield from extend(seq + [lab], max(max_used, lab))
 
-    extend([1], 1)
-    return out
+    yield from extend([first], max(used, first))
 
 
 def is_double_tree(path: ClosedPath) -> bool:
@@ -212,23 +249,13 @@ def path_pair(labels1, labels2) -> PathPair:
 def enumerate_pair_classes(length: int, simple: bool = True) -> list[PathPair]:
     """All canonical ordered pairs of (simple) closed classes, up to a
     single simultaneous relabeling."""
-    pairs: list[PathPair] = []
-    for p1 in enumerate_closed_classes(length, simple):
-        v1 = p1.v
-
-        def extend(seq: list[int], max_used: int) -> None:
-            if len(seq) == length:
-                if not (simple and seq[-1] == seq[0]):
-                    pairs.append(PathPair(p1.labels, tuple(seq) + (seq[0],)))
-                return
-            for lab in range(1, max_used + 2):
-                if simple and lab == seq[-1]:
-                    continue
-                extend(seq + [lab], max(max_used, lab))
-
-        for start in range(1, v1 + 2):
-            extend([start], max(v1, start))
-    return pairs
+    return [
+        PathPair(p1.labels, seq + (seq[0],))
+        for p1 in enumerate_closed_classes(length, simple)
+        for start in range(1, p1.v + 2)
+        for seq in _growth_strings(length, simple, start, p1.v)
+        if not (simple and seq[-1] == seq[0])
+    ]
 
 
 def pair_vertex_system(pair: PathPair) -> VertexSystem:
@@ -248,40 +275,60 @@ def pair_vertex_system(pair: PathPair) -> VertexSystem:
     return VertexSystem(tuple(tuple(e) for e in eqs), nvars=2 * ell)
 
 
+def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
+    """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
+    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q."""
+    if code.q == 2:
+        packed = pack_columns(code)
+        cols = packed.astype(np.min_scalar_type(int(packed.max())))
+        acc = cols
+        for _ in coeffs[1:]:
+            acc = acc[..., None] ^ cols
+        return (acc == 0).astype(np.int32)
+    ok = np.ones((code.n,) * len(coeffs), dtype=bool)
+    for row in code.generator.astype(np.min_scalar_type(code.q**2)):
+        terms = [c * row % code.q for c in coeffs]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = (acc[..., None] + term) % code.q
+        ok &= acc == 0
+    return ok.astype(np.int32)
+
+
 def _count_solutions(
     code: LinearCode, system: VertexSystem, drop_vertex: int | None = None
 ) -> int:
-    n = code.n
-    total = n**system.nvars
-    equations = [
-        eq for a, eq in enumerate(system.equations, start=1)
-        if a != drop_vertex
-    ]
-    binary = code.q == 2
-    cols_packed = pack_columns(code) if binary else None
-    gen_t = None if binary else np.ascontiguousarray(code.generator.T)
+    """Exact solution count as one einsum over the vertex tensors, leaving
+    out the equation at `drop_vertex` or, by default, the widest one.
 
-    divisors = [n**v for v in range(system.nvars)]
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        assign = [(idx // d) % n for d in divisors]
-        ok = np.ones(idx.size, dtype=bool)
-        for eq in equations:
-            if binary:
-                acc = np.zeros(idx.size, dtype=np.int64)
-                for var, _sign in eq:
-                    acc ^= cols_packed[assign[var]]
-                ok &= acc == 0
-            else:
-                acc = np.zeros((idx.size, code.k), dtype=np.int64)
-                for var, sign in eq:
-                    acc += sign * gen_t[assign[var]]
-                ok &= (acc % code.q == 0).all(axis=1)
-            if not ok.any():
-                break
-        count += int(ok.sum())
-    return count
+    Every term is a non-negative count and every partial sum is at most
+    n^nvars, which the callers' budgets keep within int32.
+    """
+    reduced = []
+    for eq in system.equations:
+        merged: dict[int, int] = {}
+        for var, sign in eq:
+            merged[var] = (merged.get(var, 0) + sign) % code.q
+        reduced.append({var: c for var, c in merged.items() if c})
+    if drop_vertex is None:
+        # the equations sum to zero, so the widest one follows from the rest
+        drop_vertex = 1 + max(range(len(reduced)), key=lambda a: len(reduced[a]))
+    operands: list = []
+    tensors: dict[tuple[int, ...], np.ndarray] = {}
+    constrained: set[int] = set()
+    for a, merged in enumerate(reduced, start=1):
+        if a == drop_vertex or not merged:
+            continue
+        live = sorted(merged)
+        coeffs = tuple(merged[var] for var in live)
+        if coeffs not in tensors:
+            tensors[coeffs] = _vertex_tensor(code, coeffs)
+        operands += [tensors[coeffs], live]
+        constrained.update(live)
+    free = code.n ** (system.nvars - len(constrained))
+    if not operands:
+        return free
+    return int(np.einsum(*operands, [], optimize="greedy")) * free
 
 
 def count_W(code: LinearCode, path: ClosedPath) -> int:
@@ -289,7 +336,7 @@ def count_W(code: LinearCode, path: ClosedPath) -> int:
     total = code.n**path.length
     if total > W_BUDGET:
         raise ResourceError(
-            f"n^l = {total} exceeds the brute-force budget {W_BUDGET}"
+            f"n^l = {total} exceeds the exact-count budget {W_BUDGET}"
         )
     return _count_solutions(code, vertex_system(path))
 
@@ -297,21 +344,41 @@ def count_W(code: LinearCode, path: ClosedPath) -> int:
 def count_W_pair(
     code: LinearCode, pair: PathPair, drop_vertex: int | None = None
 ) -> int:
-    """Solutions of the joint pair system; `drop_vertex` (1-based label)
-    removes one equation, which must not change the count."""
+    """Solutions of the joint pair system.  One equation is always
+    redundant: the count leaves out the widest one, or the one at
+    `drop_vertex` (1-based label), which must not change the count."""
     total = code.n ** (2 * pair.length)
     if total > PAIR_BUDGET:
         raise ResourceError(
-            f"n^(2l) = {total} exceeds the brute-force budget {PAIR_BUDGET}"
+            f"n^(2l) = {total} exceeds the exact-count budget {PAIR_BUDGET}"
         )
     return _count_solutions(code, pair_vertex_system(pair), drop_vertex)
 
 
-def _all_codeword_rows(code: LinearCode) -> np.ndarray:
-    msgs = np.stack(
-        [index_to_message(i, code.q, code.k) for i in range(code.N)]
-    )
-    return char_map(msgs @ code.generator % code.q, code.q)
+def _all_maps_sum(edges, n: int, big_n: int, first_row, gram):
+    """Sum over all maps f from the vertices of a connected closed walk to
+    the codewords of the product over its edges (a, b) of K[f(a), f(b)].
+
+    Adding one codeword to every image leaves each K entry unchanged, so
+    the sum is N times its part with vertex 0 sent to the zero codeword;
+    edges at vertex 0 then need only first_row = K[0, :], and `gram` (the
+    full K) is read only for edges that avoid vertex 0.
+    """
+    operands: list = []
+    loops = 0
+    for a, b in edges:
+        if a == b:
+            loops += 1
+        elif a == 0:
+            operands += [first_row, [b]]
+        elif b == 0:
+            operands += [first_row.conj(), [a]]
+        else:
+            operands += [gram, [a, b]]
+    total = big_n * n**loops
+    if operands:
+        total *= np.einsum(*operands, [], optimize="greedy").item()
+    return total
 
 
 def expect_omega(code: LinearCode, path: ClosedPath, mode: str) -> complex:
@@ -324,47 +391,50 @@ def expect_omega(code: LinearCode, path: ClosedPath, mode: str) -> complex:
     cost = big_n**v * ell * n
     if cost > OMEGA_BUDGET:
         raise ResourceError(
-            f"N^v * l * n = {cost} exceeds the brute-force budget {OMEGA_BUDGET}"
+            f"N^v * l * n = {cost} exceeds the exact-sum budget {OMEGA_BUDGET}"
+        )
+    if code.q == 2 and big_n**v * n**ell > np.iinfo(np.int64).max:
+        raise ResourceError(
+            f"N^v * n^l = {big_n**v * n**ell} could overflow the int64 Gram sum"
         )
     if mode == MODE_INJECTIVE and big_n < v:
         raise ParameterError(f"no injective maps: N={big_n} < v={v}")
 
-    rows = _all_codeword_rows(code)
-    ip = rows @ rows.conj().T
+    first_row = gram = None
+    if v > 1:
+        messages = np.arange(big_n)[:, None] // code.q ** np.arange(code.k) % code.q
+        rows = char_map(messages @ code.generator % code.q, code.q)
+        if code.q == 2:
+            rows = rows.astype(np.int64)  # K exact in integers
+        first_row = rows.conj() @ rows[0]
+        if v > 2:
+            gram = rows @ rows.conj().T
     edges = [(path.labels[j] - 1, path.labels[j + 1] - 1) for j in range(ell)]
-
-    total = big_n**v
-    divisors = [big_n**i for i in range(v)]
-    acc = 0.0 + 0.0j if np.iscomplexobj(ip) else 0.0
-    kept = 0
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        assign = [(idx // d) % big_n for d in divisors]
-        prod = np.ones(idx.size, dtype=ip.dtype)
-        for x, y in edges:
-            prod = prod * ip[assign[x], assign[y]]
-        if mode == MODE_INJECTIVE:
-            mask = np.ones(idx.size, dtype=bool)
-            for i in range(v):
-                for j in range(i + 1, v):
-                    mask &= assign[i] != assign[j]
-            acc += prod[mask].sum()
-            kept += int(mask.sum())
-        else:
-            acc += prod.sum()
-            kept += idx.size
-    return complex(acc / kept)
+    if mode == MODE_ALL_MAPS:
+        total = _all_maps_sum(edges, n, big_n, first_row, gram)
+        return complex(total / big_n**v)
+    total = 0
+    for blocks in _growth_strings(v, simple=False):
+        weight = 1
+        for b in range(1, max(blocks) + 1):
+            size = blocks.count(b)
+            weight *= (-1) ** (size - 1) * factorial(size - 1)
+        quotient = [(blocks[a] - 1, blocks[b] - 1) for a, b in edges]
+        total += weight * _all_maps_sum(quotient, n, big_n, first_row, gram)
+    return complex(total / perm(big_n, v))
 
 
 def paths_audit(code: LinearCode, length: int) -> dict:
-    """Per-class brute-force audit plus the module's invariant booleans."""
+    """Per-class exact audit plus the module's invariant booleans."""
     n = code.n
     records = []
+    w_of: dict[tuple[int, ...], int] = {}
     for path in enumerate_closed_classes(length, simple=False):
         try:
             w = count_W(code, path)
         except ResourceError as exc:
             raise ResourceError(f"class {path.labels}: {exc}") from None
+        w_of[path.labels] = w
         dt = is_double_tree(path)
         rec = {
             "labels": list(path.labels),
@@ -379,9 +449,10 @@ def paths_audit(code: LinearCode, length: int) -> dict:
         }
         if code.N**path.v * path.length * n <= OMEGA_BUDGET:
             e_all = expect_omega(code, path, MODE_ALL_MAPS)
-            e_inj = expect_omega(code, path, MODE_INJECTIVE)
             rec["expectation_all"] = [e_all.real, e_all.imag]
-            rec["expectation_injective"] = [e_inj.real, e_inj.imag]
+            if path.v <= code.N:
+                e_inj = expect_omega(code, path, MODE_INJECTIVE)
+                rec["expectation_injective"] = [e_inj.real, e_inj.imag]
         records.append(rec)
 
     dt_records = [r for r in records if r["double_tree"]]
@@ -419,8 +490,8 @@ def paths_audit(code: LinearCode, length: int) -> dict:
         pair_records = []
         for pair in pair_list:
             wp = count_W_pair(code, pair)
-            w1 = count_W(code, pair.first())
-            w2 = count_W(code, pair.second())
+            w1 = w_of[pair.first().labels]
+            w2 = w_of[pair.second().labels]
             pair_records.append({
                 "labels1": list(pair.labels1),
                 "labels2": list(pair.labels2),

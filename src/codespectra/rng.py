@@ -60,9 +60,3 @@ class XorShift64Star:
             u = self.next_u64()
             if u < limit:
                 return u % bound
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

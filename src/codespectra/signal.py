@@ -9,7 +9,6 @@ arithmetic when q = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,16 +109,3 @@ def sample_codewords(
         q=code.q,
         code_label=code.label,
     )
-
-
-def dump_csv(sig: SignalMatrix, path: str | Path) -> None:
-    """Matrix dump: one row per line, entries as "re" or "re+imj" decimals."""
-    lines = []
-    complex_entries = np.iscomplexobj(sig.entries)
-    for row in sig.entries:
-        if complex_entries:
-            cells = [f"{v.real:.17g}{v.imag:+.17g}j" for v in row]
-        else:
-            cells = [f"{v:.17g}" for v in row]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")

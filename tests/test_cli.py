@@ -170,3 +170,20 @@ def test_paths_audit_resource_exit_code(tmp_path):
 def test_unknown_code_selector_exit_code(tmp_path):
     rc = run_main(["code-info", "--code", "gold", "--out", str(tmp_path / "x")])
     assert rc == 2  # gold without --m
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--code", "even", "--n", "5", "--p", "8", "--repeats", "0"],
+    ["spectrum", "--code", "even", "--n", "5", "--p", "8", "--bins", "0"],
+    ["mp", "--code", "even", "--n", "5", "--y", "0.5", "--repeats", "0"],
+    ["code-info", "--code", "file", "--file", "{tmp}/missing.txt"],
+    ["code-info", "--code", "file", "--file", "{tmp}"],  # a directory
+    ["code-info", "--code", "file", "--file", "{tmp}/header.txt"],
+    ["code-info", "--code", "file", "--file", "{tmp}/shape.txt"],
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "header.txt").write_text("2 four 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
+    (tmp_path / "shape.txt").write_text("2 -1 -1\n5\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "x")]
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err.startswith("parameter error:")

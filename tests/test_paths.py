@@ -17,44 +17,80 @@ from codespectra.paths import (
 )
 
 
-def naive_count_w(code, labels):
-    """Oracle: count tuples straight from the per-vertex column sums,
-    independently of the production vertex-system evaluator."""
+def naive_count_w(code, labels, labels2=(), drop_vertex=None):
+    """Oracle: count column-index tuples straight from the per-vertex column
+    sums, independently of the production vertex-system evaluator.  A second
+    walk enters with the opposite sign (its product is conjugated), and the
+    equation of `drop_vertex` is left out."""
     n, q, k = code.n, code.q, code.k
-    ell = len(labels) - 1
     gen = np.asarray(code.generator)
+    cols = [[int(x) for x in gen[:, t]] for t in range(n)]
+    walks = [(tuple(labels), 1)] + ([(tuple(labels2), -1)] if labels2 else [])
+    steps = sum(len(w) - 1 for w, _ in walks)
+    verts = (set(labels) | set(labels2)) - {drop_vertex}
     count = 0
-    for tup in itertools.product(range(n), repeat=ell):
-        closed = tup + (tup[0],)
-        ok = True
-        for z in set(labels):
-            acc = np.zeros(k, dtype=int)
+    for tup in itertools.product(range(n), repeat=steps):
+        acc = {z: [0] * k for z in verts}
+        pos = 0
+        for w, sign in walks:
+            ell = len(w) - 1
+            t = tup[pos:pos + ell]
+            pos += ell
             for u in range(1, ell + 1):
-                if labels[u] == z:
-                    acc += gen[:, closed[u]] - gen[:, closed[u - 1]]
-            if (acc % q).any():
-                ok = False
-                break
-        if ok:
+                if w[u] in acc:
+                    head, tail = cols[t[u % ell]], cols[t[u - 1]]
+                    for r in range(k):
+                        acc[w[u]][r] += sign * (head[r] - tail[r])
+        if all(x % q == 0 for vec in acc.values() for x in vec):
             count += 1
     return count
 
 
-def naive_expect_all(code, labels):
-    """Oracle: average the inner-product product over raw codeword tuples."""
+def naive_expect(code, labels, injective=False):
+    """Oracle: average the inner-product product over raw codeword tuples,
+    keeping only tuples of distinct codewords when `injective`."""
     ell = len(labels) - 1
     verts = sorted(set(labels))
-    words = []
-    for digits in itertools.product(range(code.q), repeat=code.k):
-        words.append((-1.0) ** np.asarray(cs.encode(code, np.array(digits))))
-    total = 0.0
+    words = [
+        np.exp(2j * np.pi * cs.encode(code, np.array(digits)) / code.q)
+        for digits in itertools.product(range(code.q), repeat=code.k)
+    ]
+    ip = [[complex(a @ b.conj()) for b in words] for a in words]
+    total, kept = 0.0, 0
     for choice in itertools.product(range(len(words)), repeat=len(verts)):
+        if injective and len(set(choice)) < len(choice):
+            continue
         send = dict(zip(verts, choice))
         prod = 1.0
         for j in range(ell):
-            prod *= float(words[send[labels[j]]] @ words[send[labels[j + 1]]])
+            prod *= ip[send[labels[j]]][send[labels[j + 1]]]
         total += prod
-    return total / len(words) ** len(verts)
+        kept += 1
+    return total / kept
+
+
+TERNARY = cs.LinearCode(q=3, generator=np.array([[1, 0, 1, 2], [0, 1, 1, 1]]))
+
+
+@st.composite
+def small_codes(draw):
+    """Binary [n, k] codes with n <= 4 in permuted systematic form (zero and
+    repeated columns included), or one fixed ternary [4, 2] code."""
+    if draw(st.integers(0, 4)) == 0:
+        return TERNARY
+    n = draw(st.integers(3, 4))
+    k = draw(st.integers(1, n - 1))
+    extra = draw(st.lists(st.integers(0, 1), min_size=k * (n - k),
+                          max_size=k * (n - k)))
+    gen = np.hstack([np.eye(k, dtype=int), np.array(extra).reshape(k, n - k)])
+    order = draw(st.permutations(range(n)))
+    return cs.LinearCode(q=2, generator=gen[:, order])
+
+
+def walk_labels(min_len, max_len):
+    """Closed label sequences over 1..3, self-loops included."""
+    return st.lists(st.integers(1, 3), min_size=min_len, max_size=max_len).map(
+        lambda body: tuple(body) + (body[0],))
 
 
 def test_canonicalization_idempotent():
@@ -231,7 +267,7 @@ def test_expect_omega_equals_count_w(even5):
     val = cs.expect_omega(even5, path, MODE_ALL_MAPS)
     assert val.imag == 0
     assert val.real == pytest.approx(5, abs=1e-9)
-    assert val.real == pytest.approx(naive_expect_all(even5, (1, 2, 1)), abs=1e-9)
+    assert val.real == pytest.approx(naive_expect(even5, (1, 2, 1)).real, abs=1e-9)
 
 
 def test_expect_omega_constant_walk(even5):
@@ -267,6 +303,13 @@ def test_expect_omega_budget():
         cs.expect_omega(big, cs.closed_path((1, 2, 3, 4, 1)), MODE_ALL_MAPS)
 
 
+def test_expect_omega_refuses_possible_int64_overflow():
+    # N^v * l * n = 4000 is within budget, but N^v * n^l = 4e20 is past int64
+    repetition = cs.LinearCode(q=2, generator=np.ones((1, 100), dtype=int))
+    with pytest.raises(ResourceError):
+        cs.expect_omega(repetition, cs.closed_path((1, 2) * 5 + (1,)), MODE_ALL_MAPS)
+
+
 def test_paths_audit_l2(even5):
     audit = cs.paths_audit(even5, 2)
     checks = audit["checks"]
@@ -278,3 +321,47 @@ def test_paths_audit_l2(even5):
     assert checks["canonical_idempotent_ok"]
     assert len(audit["classes"]) == 2
     assert audit["pairs"] is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), walk_labels(1, 5))
+def test_count_w_matches_oracle_on_small_codes(code, labels):
+    path = cs.closed_path(labels)
+    assert cs.count_W(code, path) == naive_count_w(code, path.labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes(), st.integers(2, 3), st.data())
+def test_count_w_pair_matches_oracle_on_small_codes(code, ell, data):
+    labels1 = data.draw(walk_labels(ell, ell))
+    offset = data.draw(st.sampled_from([0, 1, 3]))  # 3 makes v_meet = 0
+    labels2 = data.draw(walk_labels(ell, ell))
+    pair = cs.path_pair(labels1, tuple(x + offset for x in labels2))
+    drop = data.draw(st.one_of(st.none(), st.integers(1, pair.v_union)))
+    expected = naive_count_w(code, pair.labels1, pair.labels2, drop_vertex=drop)
+    assert cs.count_W_pair(code, pair, drop_vertex=drop) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes(), walk_labels(1, 4))
+def test_expect_omega_matches_oracle_on_small_codes(code, labels):
+    path = cs.closed_path(labels)
+    for mode, injective in ((MODE_ALL_MAPS, False), (MODE_INJECTIVE, True)):
+        if injective and path.v > code.N:
+            continue
+        got = cs.expect_omega(code, path, mode)
+        want = naive_expect(code, path.labels, injective)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_paths_audit_more_vertices_than_codewords():
+    code = cs.make_even_weight(3)  # N = 4 codewords, walks of length 6 reach v = 7
+    audit = cs.paths_audit(code, 6)
+    crowded = [r for r in audit["classes"] if r["v"] > code.N]
+    assert crowded
+    for rec in audit["classes"]:
+        assert rec["expectation_all"] is not None
+        assert (rec["expectation_injective"] is None) == (rec["v"] > code.N)
+    assert audit["checks"]["character_sum_ok"]
+    with pytest.raises(ParameterError):
+        cs.expect_omega(code, cs.closed_path(crowded[0]["labels"]), MODE_INJECTIVE)

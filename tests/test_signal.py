@@ -7,7 +7,6 @@ from codespectra.rng import XorShift64Star
 from codespectra.signal import (
     MODE_DISTINCT,
     MODE_WITH_REPLACEMENT,
-    dump_csv,
     index_to_message,
     sample_message_indices,
 )
@@ -107,23 +106,3 @@ def test_rng_below_range():
     rng = XorShift64Star(5)
     vals = [rng.below(7) for _ in range(1000)]
     assert set(vals) == set(range(7))
-
-
-def test_dump_csv_real(tmp_path, even5):
-    sig = cs.sample_codewords(even5, 3, MODE_DISTINCT, seed=8)
-    path = tmp_path / "phi.csv"
-    dump_csv(sig, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 3
-    first = [float(v) for v in lines[0].split(",")]
-    assert first == list(np.asarray(sig.entries)[0])
-
-
-def test_dump_csv_complex(tmp_path):
-    gen = np.array([[1, 0, 1, 2], [0, 1, 1, 1]])
-    code = cs.LinearCode(q=3, generator=gen)
-    sig = cs.sample_codewords(code, 2, MODE_DISTINCT, seed=8)
-    path = tmp_path / "phi.csv"
-    dump_csv(sig, path)
-    cell = path.read_text().split("\n")[0].split(",")[0]
-    assert complex(cell) == pytest.approx(complex(np.asarray(sig.entries)[0, 0]))
