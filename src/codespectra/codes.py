@@ -8,7 +8,11 @@ text generator-matrix file.
 The audits certify what the spectral experiments rely on: the dual
 distance (smallest linearly dependent column multiset of the generator),
 the codeword weight set, and the coherence max |<eps(c), eps(c')>| over
-distinct codewords.
+distinct codewords.  The shipped constructors attach the dual distance
+and weight set they are known to have in closed form (Gold: 5, since the
+dual is the double-error-correcting BCH code; RM(1): 4; even-weight: n),
+so their reports cost no search; generic codes are searched within
+memory and time budgets.
 """
 
 from __future__ import annotations
@@ -20,13 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 from .fields import default_field, is_prime
 from .rng import XorShift64Star
 
-# Budgets for dual-distance searches.  The size-5 witness search is gated
-# by C(n,5); beyond it the report certifies ">=5" only (Gold codes carry
-# the analytic "=5" in their label).
+# Budgets for dual-distance searches of codes without a known dual
+# distance.  Sizes 3-4 hold all C(n,2) pair sums in one array of at most
+# 8 bytes each (4 when k <= 32), so PAIR_BUDGET caps that array at 64 MB:
+# n = 4096 fits, n = 8191 is refused with ResourceError.  The size-5
+# witness search is gated by C(n,5) <= WITNESS_BUDGET_5 (n <= 105);
+# beyond it the search certifies ">=5" only.
+PAIR_BUDGET = 1 << 23
 WITNESS_BUDGET_5 = 10**8
 SUBSET_BUDGET = 2 * 10**6
 GENERIC_MAX_N = 64
@@ -44,6 +52,7 @@ class LinearCode:
     generator: np.ndarray
     label: str = ""
     known_weights: frozenset[int] | None = None
+    known_dual_distance: int | None = None
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
@@ -138,6 +147,7 @@ def make_gold(m: int) -> LinearCode:
         generator=gen,
         label=f"gold(m={m}) [{n},{2 * m}] dual distance 5 (analytic)",
         known_weights=frozenset({half - spread, half, half + spread}),
+        known_dual_distance=5,
     )
 
 
@@ -156,6 +166,7 @@ def make_rm1(m: int) -> LinearCode:
         generator=gen,
         label=f"rm1(m={m}) [{n},{m + 1}]",
         known_weights=frozenset({n // 2, n}),
+        known_dual_distance=4,
     )
 
 
@@ -170,6 +181,7 @@ def make_even_weight(n: int) -> LinearCode:
         generator=gen,
         label=f"even-weight [{n},{n - 1}]",
         known_weights=frozenset(range(2, n + 1, 2)),
+        known_dual_distance=n,
     )
 
 
@@ -198,7 +210,10 @@ def parse_generator(text: str, label: str = "file") -> LinearCode:
         raise ParameterError(
             f"expected {k}x{n} entries after the header, got {len(body)}"
         )
-    gen = np.array(body, dtype=np.int64).reshape(k, n)
+    try:
+        gen = np.array(body, dtype=np.int64).reshape(k, n)
+    except OverflowError:
+        raise ParameterError("generator entries must fit in 64 bits") from None
     return LinearCode(q=q, generator=gen, label=label)
 
 
@@ -208,9 +223,16 @@ def load_generator(path: str | Path) -> LinearCode:
 
 
 def pack_columns(code: LinearCode) -> np.ndarray:
-    """Binary generator columns as k-bit integers (one per coordinate)."""
+    """Binary generator columns as k-bit integers (one per coordinate).
+
+    The integers are int64, so k is limited to 63.
+    """
     if code.q != 2:
         raise ParameterError("column packing is defined for binary codes only")
+    if code.k > 63:
+        raise ParameterError(
+            f"column packing holds at most 63 rows, got k={code.k}"
+        )
     bit_values = np.int64(1) << np.arange(code.k, dtype=np.int64)
     return bit_values @ code.generator
 
@@ -232,11 +254,14 @@ class DualDistanceStatus:
 def dual_distance_status(code: LinearCode, bound: int) -> DualDistanceStatus:
     """Smallest linearly dependent generator-column multiset, up to `bound`.
 
-    Binary path: sizes 1-2 by zero/duplicate columns, size 3 by matching
-    pair sums against single columns, size 4 by a pair-sum collision (all
-    collisions are index-disjoint once columns are distinct), size 5 by a
-    witness search gated at C(n,5) <= 1e8.  Returns the exact value when a
-    dependent set of size <= bound is found, else ">= searched+1".
+    Binary path: sizes 1-2 by zero/duplicate columns, then the C(n,2) pair
+    sums are sorted once (refused with ResourceError beyond PAIR_BUDGET):
+    size 3 is a pair sum equal to a column, size 4 a repeated pair sum (all
+    collisions are index-disjoint once columns are distinct), and size 5 a
+    witness search gated at C(n,5) <= WITNESS_BUDGET_5.  Returns the exact
+    value when a dependent set of size <= bound is found, else
+    ">= searched+1".  This searches even when the code carries a
+    `known_dual_distance`; `code_report` is the caller that trusts it.
     """
     if bound < 2:
         raise ParameterError(f"bound must be >= 2, got {bound}")
@@ -256,22 +281,38 @@ def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
     if bound < 3:
         return DualDistanceStatus(None, 2)
 
-    ii, jj = np.triu_indices(n, 1)
-    pair_xor = cols[ii] ^ cols[jj]
-    if np.isin(pair_xor, cols).any():
+    pairs = comb(n, 2)
+    if pairs > PAIR_BUDGET:
+        raise ResourceError(
+            f"dual-distance search needs C({n},2) = {pairs} pair sums, "
+            f"over the budget of {PAIR_BUDGET}"
+        )
+    cols = cols.astype(np.min_scalar_type(int(cols.max())))
+    pair_xor = np.empty(pairs, dtype=cols.dtype)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.bitwise_xor(cols[i], cols[i + 1:], out=pair_xor[start:stop])
+        start = stop
+    pair_xor.sort()
+    at = np.searchsorted(pair_xor, cols)
+    hit = at < pairs
+    if (pair_xor[at[hit]] == cols[hit]).any():
         return DualDistanceStatus(3, 3)
     if bound < 4:
         return DualDistanceStatus(None, 3)
 
     # distinct columns make equal pair sums automatically index-disjoint
-    if np.unique(pair_xor).size < pair_xor.size:
+    if (pair_xor[1:] == pair_xor[:-1]).any():
         return DualDistanceStatus(4, 4)
     if bound < 5:
         return DualDistanceStatus(None, 4)
 
     if comb(n, 5) > WITNESS_BUDGET_5:
         return DualDistanceStatus(None, 4)
-    by_sum = {int(s): (int(a), int(b)) for s, a, b in zip(pair_xor, ii, jj)}
+    ii, jj = np.triu_indices(n, 1)
+    by_sum = {int(s): (int(a), int(b))
+              for s, a, b in zip(cols[ii] ^ cols[jj], ii, jj)}
     cols_list = [int(c) for c in cols]
     for s, (a, b) in list(by_sum.items()):
         for c in range(n):
@@ -352,13 +393,24 @@ def code_report(
     exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
     dual_bound: int = 5,
 ) -> CodeReport:
-    """Weight set and coherence, exhaustive when N <= exhaustive_limit.
+    """Dual distance, weight set and coherence of `code`.
 
-    Beyond the limit the report falls back to the construction's known
-    weight set when one is attached (exact for binary codes, since the
-    coherence only depends on the difference-codeword weight), else to a
-    fixed-seed deterministic codeword sample flagged non-certified.
+    The dual distance is the construction's `known_dual_distance` when one
+    is attached (reported exact), else `dual_distance_status(code,
+    dual_bound)`, which may raise ResourceError before any weight is
+    computed.  Weights and coherence are exhaustive when N <=
+    exhaustive_limit.  Beyond the limit the report falls back to the
+    construction's known weight set when one is attached (exact for binary
+    codes, since the coherence only depends on the difference-codeword
+    weight), else to a fixed-seed deterministic codeword sample flagged
+    non-certified.
     """
+    if code.known_dual_distance is not None:
+        d = code.known_dual_distance
+        status = DualDistanceStatus(d, d)
+    else:
+        status = dual_distance_status(code, dual_bound)
+
     if code.N <= exhaustive_limit:
         weights, coherence = _weights_exhaustive(code)
         method, certified = "exhaustive", True
@@ -370,7 +422,6 @@ def code_report(
         weights, coherence = _weights_sampled(code)
         method, certified = "sampled", False
 
-    status = dual_distance_status(code, dual_bound)
     return CodeReport(
         n=code.n,
         k=code.k,

@@ -18,10 +18,12 @@ MAX_PRIME = 1 << 31
 # Primitive polynomials over F_2 for the extension degrees the Gold
 # construction ships with (bit i of the constant is the coefficient of x^i).
 DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
-    5: 0b100101,          # x^5 + x^2 + 1
-    7: 0b10000011,        # x^7 + x + 1
-    9: 0b1000010001,      # x^9 + x^4 + 1
-    11: 0b100000000101,   # x^11 + x^2 + 1
+    5: 0b100101,             # x^5 + x^2 + 1
+    7: 0b10000011,           # x^7 + x + 1
+    9: 0b1000010001,         # x^9 + x^4 + 1
+    11: 0b100000000101,      # x^11 + x^2 + 1
+    13: 0b10000000011011,    # x^13 + x^4 + x^3 + x + 1
+    15: 0b1000000000000011,  # x^15 + x + 1
 }
 
 

@@ -140,6 +140,32 @@ def test_code_info_rm1(tmp_path):
     assert summary["report"]["dual_distance_status"] == "=4"
 
 
+def test_code_info_gold13(tmp_path, capsys):
+    rc = run_main(["code-info", "--code", "gold", "--m", "13",
+                   "--out", str(tmp_path / "info")])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["dual_distance_status"] == "=5"
+    assert rep["weight_set"] == [4032, 4096, 4160]
+    assert rep["coherence"] == 129.0
+
+
+def test_code_info_even_k_over_63(tmp_path, capsys):
+    rc = run_main(["code-info", "--code", "even", "--n", "70",
+                   "--out", str(tmp_path / "info")])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["dual_distance_status"] == "=70"
+
+
+def test_paths_audit_rejects_k_over_63(tmp_path, capsys):
+    # packed columns would wrap in int64 and miscount the double trees
+    rc = run_main(["paths-audit", "--code", "even", "--n", "70",
+                   "--lmax", "3", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("parameter error:")
+
+
 def test_code_info_from_file(tmp_path):
     src = tmp_path / "code.txt"
     src.write_text("2 4 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
@@ -180,10 +206,12 @@ def test_unknown_code_selector_exit_code(tmp_path):
     ["code-info", "--code", "file", "--file", "{tmp}"],  # a directory
     ["code-info", "--code", "file", "--file", "{tmp}/header.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/shape.txt"],
+    ["code-info", "--code", "file", "--file", "{tmp}/overflow.txt"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "header.txt").write_text("2 four 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
     (tmp_path / "shape.txt").write_text("2 -1 -1\n5\n")
+    (tmp_path / "overflow.txt").write_text("2 1 1 99999999999999999999\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "x")]
     assert run_main(argv) == 2
     assert capsys.readouterr().err.startswith("parameter error:")

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import codespectra as cs
-from codespectra import LinearCode, ParameterError
+from codespectra import LinearCode, ParameterError, ResourceError
 from codespectra.codes import pack_columns
 
 
@@ -108,6 +109,31 @@ def test_dual_distance_even5(even5):
     assert cs.dual_distance_status(even5, 5).label == "=5"
 
 
+@pytest.mark.parametrize("make, arg, searched", [
+    (cs.make_gold, 5, "=5"),
+    (cs.make_gold, 7, ">=5"),
+    (cs.make_gold, 9, ">=5"),
+    *[(cs.make_rm1, m, "=4") for m in (3, 4, 5)],
+    *[(cs.make_even_weight, n, f"={n}") for n in range(3, 8)],
+])
+def test_known_dual_distance_agrees_with_search(make, arg, searched):
+    code = make(arg)
+    status = cs.dual_distance_status(code, 7)
+    assert status.label == searched
+    if status.exact is not None:
+        assert code.known_dual_distance == status.exact
+    else:
+        assert code.known_dual_distance >= status.searched + 1
+    assert cs.code_report(code).dual_distance_status == f"={code.known_dual_distance}"
+
+
+def test_dual_distance_rejects_k_over_63():
+    # 1 << 63 and beyond wrap in int64: the search used to report "=1"
+    with pytest.raises(ParameterError):
+        cs.dual_distance_status(cs.make_even_weight(66), 5)
+    assert cs.dual_distance_status(cs.make_even_weight(64), 3).label == ">=4"
+
+
 def test_dual_distance_monotone(even5, rm1_3, gold5):
     for code in (even5, rm1_3, gold5):
         exact = cs.dual_distance_status(code, 7).exact
@@ -166,7 +192,30 @@ def test_code_report_structural_path():
     assert rep.method == "structural" and rep.certified
     assert rep.weight_set == (992, 1024, 1056)
     assert rep.coherence == 65.0
-    assert rep.dual_distance_status == ">=5"
+    assert rep.dual_distance_status == "=5"
+
+
+def test_code_report_known_dual_distance_allocates_nothing():
+    g11 = cs.make_gold(11)
+    tracemalloc.start()
+    try:
+        cs.code_report(g11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dual_distance_pair_budget():
+    # shipped generators with the known fields stripped: n = 2048 is
+    # searched, n = 8191 is refused before the pair sums are allocated
+    rm = cs.make_rm1(11)
+    code = LinearCode(q=2, generator=np.asarray(rm.generator), label="blob")
+    assert cs.code_report(code).dual_distance_status == "=4"
+    g13 = cs.make_gold(13)
+    code = LinearCode(q=2, generator=np.asarray(g13.generator), label="blob")
+    with pytest.raises(ResourceError):
+        cs.code_report(code)
 
 
 def test_code_report_sampled_path():
