@@ -5,6 +5,7 @@ from .codes import (
     DualDistanceStatus,
     LinearCode,
     code_report,
+    codewords,
     dual_distance_status,
     encode,
     load_generator,
@@ -19,7 +20,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .fields import Gf2m, Gf2mElement, default_field, ff_mul, is_primitive_poly, trace
+from .fields import is_primitive_poly
 from .laws import LawSpec, mp_cdf, mp_moment, mp_pdf, sc_cdf, sc_moment, sc_pdf
 from .paths import (
     ClosedPath,

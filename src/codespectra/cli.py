@@ -104,6 +104,15 @@ def _histogram(eigs: np.ndarray, bins: int, law: LawSpec):
     return edges, densities
 
 
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create --out {cfg.out}: {exc}") from None
+    return out_dir
+
+
 def _finish(summary: dict, out_dir: Path, name: str) -> dict:
     target = out_dir / name
     target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -118,8 +127,7 @@ def _run_esd_experiment(
         raise ParameterError(f"need --repeats >= 1, got {cfg.repeats}")
     if cfg.bins < 1:
         raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     per_repeat = []
     artifacts: dict[str, str] = {}
     for r in range(cfg.repeats):
@@ -237,8 +245,7 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
             "within_bound": abs(mean - reference) <= bound,
         })
 
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     summary = {
         "config": cfg.as_dict(),
         "code": {"label": code.label, "n": n, "k": code.k, "N": big_n},
@@ -253,8 +260,7 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
 def cmd_code_info(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     report = code_report(code)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     summary = {
         "config": cfg.as_dict(),
         "label": code.label,
@@ -267,8 +273,7 @@ def cmd_code_info(cfg: ExperimentConfig) -> dict:
 def cmd_paths_audit(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     audit = paths_audit(code, cfg.lmax)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     summary = {
         "config": cfg.as_dict(),
         "audit": audit,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-from .fields import default_field, is_prime
+from .fields import DEFAULT_PRIMITIVE_POLY, MAX_PRIME, antilog_table, is_prime
 from .rng import XorShift64Star
 
 # Budgets for dual-distance searches of codes without a known dual
@@ -40,6 +40,9 @@ SUBSET_BUDGET = 2 * 10**6
 GENERIC_MAX_N = 64
 
 EXHAUSTIVE_LIMIT_DEFAULT = 1 << 20
+# Sampled and non-binary weight reports decode codewords in chunks of at
+# most this many entries (rows x n): 512 kB per int64 chunk, whatever n is.
+_CHUNK_ENTRIES = 1 << 16
 _REPORT_SAMPLE_SEED = 0x0DE5EEDC0DE5EEDC
 _REPORT_SAMPLE_SIZE = 1 << 15
 
@@ -55,6 +58,10 @@ class LinearCode:
     known_dual_distance: int | None = None
 
     def __post_init__(self) -> None:
+        if not 2 <= self.q < MAX_PRIME:
+            raise ParameterError(
+                f"alphabet size {self.q} is outside [2, {MAX_PRIME})"
+            )
         if not is_prime(self.q):
             raise ParameterError(f"alphabet size {self.q} is not prime")
         gen = np.asarray(self.generator, dtype=np.int64)
@@ -118,27 +125,21 @@ def make_gold(m: int) -> LinearCode:
     """
     if m < 5 or m % 2 == 0:
         raise ParameterError(f"Gold construction needs odd m >= 5, got {m}")
-    field = default_field(m)
-    n = (1 << m) - 1
-
-    # Tr is F_2-linear, so one mask evaluates it: Tr(v) = parity(v & mask).
-    mask = 0
-    for i in range(m):
-        if field.trace(1 << i):
-            mask |= 1 << i
-    powers = np.empty(n, dtype=np.int64)
-    cur = 1
-    for t in range(n):
-        powers[t] = cur
-        cur = field.mul(cur, 0b10)
-    trace_bits = np.array([bin(int(v) & mask).count("1") & 1 for v in powers],
-                          dtype=np.int64)
-
+    if m not in DEFAULT_PRIMITIVE_POLY:
+        raise ParameterError(
+            f"no shipped primitive polynomial for m={m}; "
+            f"available: {sorted(DEFAULT_PRIMITIVE_POLY)}"
+        )
+    alpha = antilog_table(DEFAULT_PRIMITIVE_POLY[m], m)
+    n = alpha.size
     t = np.arange(n)
-    gen = np.empty((2 * m, n), dtype=np.int64)
-    for i in range(m):
-        gen[i] = trace_bits[(i + t) % n]
-        gen[m + i] = trace_bits[(i + 3 * t) % n]
+
+    # Tr(alpha^t) is the sum of the conjugates alpha^(t 2^j), j < m, and
+    # lies in F_2, so the XOR of those table entries is 0 or 1.
+    conjugates = alpha[t[:, None] * (1 << np.arange(m)) % n]
+    trace_bits = np.bitwise_xor.reduce(conjugates, axis=1)
+    shift = np.arange(m)[:, None]
+    gen = np.vstack([trace_bits[(shift + t) % n], trace_bits[(shift + 3 * t) % n]])
 
     half = 1 << (m - 1)
     spread = 1 << ((m - 1) // 2)
@@ -193,6 +194,23 @@ def encode(code: LinearCode, message) -> np.ndarray:
             f"message length {msg.shape} does not match dimension k={code.k}"
         )
     return (msg % code.q) @ code.generator % code.q
+
+
+def codewords(code: LinearCode, indices) -> np.ndarray:
+    """Codewords of the messages with the given indices, one row each.
+
+    Message index i stands for the message whose entries are the base-q
+    digits of i, least significant first.  Digits are taken in uint64, so
+    every index below min(N, 2^64) decodes.
+    """
+    rest = np.asarray(indices, dtype=np.uint64)
+    q = np.uint64(code.q)
+    digits = np.empty((rest.size, code.k), dtype=np.int64)
+    for i in range(code.k):
+        rest, digits[:, i] = np.divmod(rest, q)
+    if rest.any():
+        raise ParameterError(f"message index beyond the N = {code.N} codewords")
+    return digits @ code.generator % code.q
 
 
 def parse_generator(text: str, label: str = "file") -> LinearCode:
@@ -462,13 +480,9 @@ def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
 def _weights_from_messages(code, message_indices) -> tuple[set[int], float]:
     weights: set[int] = set()
     coherence = 0.0
-    chunk: list[int] = []
-
-    def flush(chunk_idx: list[int]) -> None:
-        nonlocal coherence
-        idx = np.array(chunk_idx, dtype=np.int64)
-        digits = (idx[:, None] // code.q ** np.arange(code.k)) % code.q
-        words = digits @ code.generator % code.q
+    rows = max(1, _CHUNK_ENTRIES // code.n)
+    for start in range(0, len(message_indices), rows):
+        words = codewords(code, message_indices[start:start + rows])
         w = np.count_nonzero(words, axis=1)
         weights.update(int(x) for x in w)
         if code.q == 2:
@@ -476,14 +490,6 @@ def _weights_from_messages(code, message_indices) -> tuple[set[int], float]:
         else:
             sums = np.exp(2j * np.pi * words / code.q).sum(axis=1)
             coherence = max(coherence, float(np.abs(sums).max()))
-
-    for i in message_indices:
-        chunk.append(i)
-        if len(chunk) >= 4096:
-            flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
     return weights, coherence
 
 

@@ -44,7 +44,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .codes import LinearCode, pack_columns
+from .codes import LinearCode, codewords, pack_columns
 from .errors import ParameterError, ResourceError
 from .signal import char_map
 
@@ -402,8 +402,7 @@ def expect_omega(code: LinearCode, path: ClosedPath, mode: str) -> complex:
 
     first_row = gram = None
     if v > 1:
-        messages = np.arange(big_n)[:, None] // code.q ** np.arange(code.k) % code.q
-        rows = char_map(messages @ code.generator % code.q, code.q)
+        rows = char_map(codewords(code, np.arange(big_n)), code.q)
         if code.q == 2:
             rows = rows.astype(np.int64)  # K exact in integers
         first_row = rows.conj() @ rows[0]

@@ -53,8 +53,8 @@ class XorShift64Star:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), bias-free by rejection."""
-        if bound <= 0:
-            raise ParameterError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ParameterError(f"bound must lie in [1, 2^64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

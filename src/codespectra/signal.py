@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, codewords
 from .errors import ParameterError
 from .rng import SeedContract, XorShift64Star
 
@@ -50,14 +50,6 @@ class SignalMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[1]
-
-
-def index_to_message(index: int, q: int, k: int) -> np.ndarray:
-    """Base-q digits of a message index, least significant first."""
-    digits = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        index, digits[i] = divmod(index, q)
-    return digits
 
 
 def sample_message_indices(
@@ -100,10 +92,8 @@ def sample_codewords(
     """Draw p codewords (per `mode`) and return their character-map rows."""
     rng = XorShift64Star(seed, stream_index)
     indices = sample_message_indices(code, p, mode, rng)
-    messages = np.stack([index_to_message(i, code.q, code.k) for i in indices])
-    words = messages @ code.generator % code.q
     return SignalMatrix(
-        entries=char_map(words, code.q),
+        entries=char_map(codewords(code, indices), code.q),
         mode=mode,
         seed=SeedContract(seed, stream_index),
         q=code.q,

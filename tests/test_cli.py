@@ -207,11 +207,20 @@ def test_unknown_code_selector_exit_code(tmp_path):
     ["code-info", "--code", "file", "--file", "{tmp}/header.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/shape.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/overflow.txt"],
+    ["code-info", "--code", "file", "--file", "{tmp}/big_q.txt"],
+    ["code-info", "--code", "file", "--file", "{tmp}/composite_q.txt"],
+    # N = 2^69 codewords: more than a 64-bit draw can index
+    ["spectrum", "--code", "even", "--n", "70", "--p", "8", "--repeats", "1"],
+    ["code-info", "--code", "even", "--n", "5", "--out", "{tmp}/header.txt/x"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "header.txt").write_text("2 four 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
     (tmp_path / "shape.txt").write_text("2 -1 -1\n5\n")
     (tmp_path / "overflow.txt").write_text("2 1 1 99999999999999999999\n")
-    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "x")]
+    (tmp_path / "big_q.txt").write_text("2305843009213693951 1 1 1\n")  # 2^61 - 1
+    (tmp_path / "composite_q.txt").write_text("15 1 1 1\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "x")]
     assert run_main(argv) == 2
     assert capsys.readouterr().err.startswith("parameter error:")

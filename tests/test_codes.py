@@ -206,6 +206,23 @@ def test_code_report_known_dual_distance_allocates_nothing():
     assert peak < 1 << 20
 
 
+def test_sampled_report_memory_is_bounded():
+    # Gold m=9 without its known weights takes the sampled path: 2^15
+    # codewords of length 511, decoded in chunks of bounded size
+    g9 = cs.make_gold(9)
+    code = LinearCode(q=2, generator=np.asarray(g9.generator), label="blob",
+                      known_dual_distance=5)
+    tracemalloc.start()
+    try:
+        rep = cs.code_report(code, exhaustive_limit=2**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "sampled"
+    assert rep.weight_set == (240, 256, 272) and rep.coherence == 33.0
+    assert peak < 8 << 20
+
+
 def test_dual_distance_pair_budget():
     # shipped generators with the known fields stripped: n = 2048 is
     # searched, n = 8191 is refused before the pair sums are allocated

@@ -7,7 +7,6 @@ from codespectra.rng import XorShift64Star
 from codespectra.signal import (
     MODE_DISTINCT,
     MODE_WITH_REPLACEMENT,
-    index_to_message,
     sample_message_indices,
 )
 
@@ -29,11 +28,26 @@ def test_char_map_self_inner_product(even5):
     assert row @ row == even5.n
 
 
-def test_index_to_message_round_trip():
-    for q, k in ((2, 6), (3, 4)):
-        for idx in range(q**k):
-            digits = index_to_message(idx, q, k)
-            assert sum(int(d) * q**i for i, d in enumerate(digits)) == idx
+def test_codewords_match_encode():
+    ternary = cs.LinearCode(q=3, generator=np.array([[1, 0, 0, 1, 2],
+                                                      [0, 1, 0, 2, 2],
+                                                      [0, 0, 1, 1, 1],
+                                                      [1, 1, 1, 0, 2]]))
+    for code in (cs.make_even_weight(7), ternary):
+        q, k = code.q, code.k
+        words = cs.codewords(code, np.arange(code.N))
+        for idx in range(code.N):
+            digits = [idx // q**i % q for i in range(k)]
+            assert (words[idx] == cs.encode(code, digits)).all()
+    # k = 64: every index below 2^64 decodes, including those past 2^63
+    big = cs.make_even_weight(65)
+    indices = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0xDEADBEEF12345678]
+    words = cs.codewords(big, indices)
+    for idx, word in zip(indices, words):
+        digits = [idx >> i & 1 for i in range(64)]
+        assert (word == cs.encode(big, digits)).all()
+    with pytest.raises(ParameterError):
+        cs.codewords(cs.make_even_weight(7), [64])
 
 
 def test_sampling_is_deterministic(even5):
@@ -106,3 +120,13 @@ def test_rng_below_range():
     rng = XorShift64Star(5)
     vals = [rng.below(7) for _ in range(1000)]
     assert set(vals) == set(range(7))
+
+
+def test_rng_below_refuses_bounds_past_2_64():
+    rng = XorShift64Star(5)
+    # draws for bounds up to 2^64 are pinned: the refusal must not move them
+    assert [rng.below(b) for b in (2**64, 2**63 + 1, 7, 3**40)] == \
+        [12369517773850188711, 2712716412630238840, 4, 466263035422807775]
+    for bound in (0, 2**64 + 1, 2**69):
+        with pytest.raises(ParameterError):
+            rng.below(bound)
