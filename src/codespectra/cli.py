@@ -31,7 +31,7 @@ from .errors import ParameterError, ResourceError
 from .laws import LawSpec
 from .paths import paths_audit
 from .signal import MODE_DISTINCT, MODE_WITH_REPLACEMENT, sample_codewords
-from .spectra import SpectralSummary, summarize
+from .spectra import summarize
 from .svg import render_histogram_svg
 
 MOMENT_BOUND_MULTIPLIER = 3.0  # converts the unconstanted error scale into a gate

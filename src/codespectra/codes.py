@@ -33,11 +33,14 @@ from .rng import XorShift64Star
 # 8 bytes each (4 when k <= 32), so PAIR_BUDGET caps that array at 64 MB:
 # n = 4096 fits, n = 8191 is refused with ResourceError.  The size-5
 # witness search is gated by C(n,5) <= WITNESS_BUDGET_5 (n <= 105);
-# beyond it the search certifies ">=5" only.
+# beyond it the search certifies ">=5" only.  The subset search (every
+# size of a non-binary code, sizes above 5 of a binary one) ranks each
+# size-column subset over k rows; it stops before a size whose
+# C(n, size) * size * k rank steps exceed RANK_STEP_BUDGET and certifies
+# the sizes it finished.
 PAIR_BUDGET = 1 << 23
 WITNESS_BUDGET_5 = 10**8
-SUBSET_BUDGET = 2 * 10**6
-GENERIC_MAX_N = 64
+RANK_STEP_BUDGET = 4 * 10**6
 
 EXHAUSTIVE_LIMIT_DEFAULT = 1 << 20
 # Sampled and non-binary weight reports decode codewords in chunks of at
@@ -285,7 +288,9 @@ def dual_distance_status(code: LinearCode, bound: int) -> DualDistanceStatus:
         raise ParameterError(f"bound must be >= 2, got {bound}")
     if code.q == 2:
         return _dual_distance_binary(code, bound)
-    return _dual_distance_generic(code, bound)
+    return _dual_distance_subsets(
+        np.asarray(code.generator), code.q, bound, start=1, searched=0
+    )
 
 
 def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
@@ -350,22 +355,12 @@ def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
     )
 
 
-def _dual_distance_generic(code: LinearCode, bound: int) -> DualDistanceStatus:
-    if code.n > GENERIC_MAX_N:
-        raise ParameterError(
-            f"generic dual-distance search is limited to n <= {GENERIC_MAX_N}"
-        )
-    return _dual_distance_subsets(
-        np.asarray(code.generator), code.q, bound, start=1, searched=0
-    )
-
-
 def _dual_distance_subsets(
     gen: np.ndarray, q: int, bound: int, start: int, searched: int
 ) -> DualDistanceStatus:
-    n = gen.shape[1]
+    k, n = gen.shape
     for size in range(start, bound + 1):
-        if comb(n, size) > SUBSET_BUDGET:
+        if comb(n, size) * size * k > RANK_STEP_BUDGET:
             break
         for idx in itertools.combinations(range(n), size):
             if _row_rank_mod_q(gen[:, idx].T, q) < size:
@@ -469,9 +464,14 @@ def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
 
 
 def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
+    if code.N > 1 << 64:
+        raise ParameterError(
+            f"cannot sample the N = {code.N} codewords: message indices are 64-bit"
+        )
+    size = min(_REPORT_SAMPLE_SIZE, code.N - 1)
     rng = XorShift64Star(_REPORT_SAMPLE_SEED)
     indices = {code.q**i for i in range(code.k)}  # unit messages
-    while len(indices) < _REPORT_SAMPLE_SIZE:
+    while len(indices) < size:
         idx = rng.below(code.N - 1) + 1
         indices.add(idx)
     return _weights_from_messages(code, sorted(indices))

@@ -7,12 +7,15 @@ matrix; the number W of its solutions equals the exact all-maps average of
 the walk's inner-product product.  `paths_audit` computes both sides of
 that identity independently and compares them.
 
-Column side (W, W_pair): each vertex equation becomes a 0/1 tensor over
-the distinct column variables left in it once repeated variables have
-merged their coefficients; the entry is 1 where the signed column sum
-vanishes mod q (for binary codes, where the XOR of the packed columns is
-0).  W is one einsum over these tensors, times n for every variable that
-no equation constrains.
+Column side (W, W_pair): `_vertex_equations` writes each vertex's
+column-sum equation as {variable: coefficient mod q}, dropping the
+variables whose coefficients cancel.  A pair's system is its two walks'
+systems glued on their shared vertices, the second walk negated.  Each
+equation becomes a 0/1 tensor over its variables, with entry 1 where the
+weighted column sum vanishes mod q (for binary codes, where the XOR of the
+packed columns is 0).  W is one int32 einsum over these tensors, times n
+for every variable that no equation constrains; `_count_solutions`
+refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
 matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
@@ -49,12 +52,11 @@ from .errors import ParameterError, ResourceError
 from .signal import char_map
 
 MAX_LENGTH = 10
-# Column-side budgets on n^l (walks) and n^(2l) (pairs): no vertex tensor
-# has more entries, and every partial sum of the contraction is a count no
-# larger, so at 10^8 the int32 einsum is exact.
-W_BUDGET = 10**8
-PAIR_BUDGET = 10**8
-# Codeword-side budget on N^v * l * n.  With n^l <= W_BUDGET it keeps
+# Column-side budget on n^(number of steps): n^l for a walk, n^(2l) for a
+# pair.  No vertex tensor has more entries, and every partial sum of the
+# contraction is a count no larger, so at 10^8 the int32 einsum is exact.
+COUNT_BUDGET = 10**8
+# Codeword-side budget on N^v * l * n.  With n^l <= COUNT_BUDGET it keeps
 # N^v * n^l, which bounds every partial sum of a binary Gram contraction,
 # below 2^63; for v >= 3, the only walks that read the full N x N Gram,
 # it keeps that matrix under 5 * 10^5 entries.
@@ -171,30 +173,6 @@ def count_double_tree_classes(length: int) -> int:
 
 
 @dataclass(frozen=True)
-class VertexSystem:
-    """Per-vertex equations: tuples of (variable index, sign) edge slots.
-
-    Variable u stands for the column index of edge u; edge u of a walk
-    contributes +g[t_u] - g[t_{u-1}] to the equation of its head vertex,
-    with the closing index identified (t_l = t_0).  The signed slots sum
-    to zero over all equations, so one equation is always redundant.
-    """
-
-    equations: tuple[tuple[tuple[int, int], ...], ...]
-    nvars: int
-
-
-def vertex_system(path: ClosedPath) -> VertexSystem:
-    ell = path.length
-    eqs: list[list[tuple[int, int]]] = [[] for _ in range(path.v)]
-    for u in range(1, ell + 1):
-        head = path.labels[u]
-        eqs[head - 1].append((u % ell, +1))
-        eqs[head - 1].append((u - 1, -1))
-    return VertexSystem(tuple(tuple(e) for e in eqs), nvars=ell)
-
-
-@dataclass(frozen=True)
 class PathPair:
     """Two same-length closed walks on a shared, jointly canonical label space."""
 
@@ -214,14 +192,6 @@ class PathPair:
     @property
     def length(self) -> int:
         return len(self.labels1) - 1
-
-    @property
-    def v1(self) -> int:
-        return len(set(self.labels1))
-
-    @property
-    def v2(self) -> int:
-        return len(set(self.labels2))
 
     @property
     def v_union(self) -> int:
@@ -258,21 +228,26 @@ def enumerate_pair_classes(length: int, simple: bool = True) -> list[PathPair]:
     ]
 
 
-def pair_vertex_system(pair: PathPair) -> VertexSystem:
-    """Joint equations: walk-1 slots as usual, walk-2 slots sign-flipped
-    (its product enters conjugated), sharing equations on common vertices."""
-    ell = pair.length
-    nvert = pair.v_union
-    eqs: list[list[tuple[int, int]]] = [[] for _ in range(nvert)]
-    for u in range(1, ell + 1):
-        head = pair.labels1[u]
-        eqs[head - 1].append((u % ell, +1))
-        eqs[head - 1].append((u - 1, -1))
-    for u in range(1, ell + 1):
-        head = pair.labels2[u]
-        eqs[head - 1].append((ell + (u - 1), +1))
-        eqs[head - 1].append((ell + (u % ell), -1))
-    return VertexSystem(tuple(tuple(e) for e in eqs), nvars=2 * ell)
+def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
+    """Column-sum equation of each vertex of one walk, or of a jointly
+    labelled pair, as {variable: coefficient mod q} without zero terms.
+
+    Variable w*l + u stands for the column index of step u of walk w, with
+    the closing index identified (t_l = t_0); step u adds
+    +g[t_u] - g[t_{u-1}] to the equation of its head vertex.  The second
+    walk's product enters conjugated, so its steps add the opposite sign.
+    Each variable's coefficients sum to zero over the equations, so any
+    one equation follows from the others.
+    """
+    ell = len(walks[0]) - 1
+    eqs: list[dict[int, int]] = [{} for _ in range(max(map(max, walks)))]
+    for w, labels in enumerate(walks):
+        sign = -1 if w else 1
+        for u in range(1, ell + 1):
+            eq = eqs[labels[u] - 1]
+            for var, c in ((w * ell + u % ell, sign), (w * ell + u - 1, -sign)):
+                eq[var] = (eq.get(var, 0) + c) % q
+    return [{var: c for var, c in eq.items() if c} for eq in eqs]
 
 
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
@@ -295,37 +270,36 @@ def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     return ok.astype(np.int32)
 
 
-def _count_solutions(
-    code: LinearCode, system: VertexSystem, drop_vertex: int | None = None
-) -> int:
-    """Exact solution count as one einsum over the vertex tensors, leaving
-    out the equation at `drop_vertex` or, by default, the widest one.
+def _count_solutions(code: LinearCode, walks, drop_vertex: int | None = None) -> int:
+    """Exact number of column-index tuples, one index per step of `walks`,
+    that solve every vertex equation: one einsum over the vertex tensors,
+    leaving out the equation at `drop_vertex` or, by default, the widest.
 
     Every term is a non-negative count and every partial sum is at most
-    n^nvars, which the callers' budgets keep within int32.
+    n^(number of steps), which COUNT_BUDGET keeps within int32.
     """
-    reduced = []
-    for eq in system.equations:
-        merged: dict[int, int] = {}
-        for var, sign in eq:
-            merged[var] = (merged.get(var, 0) + sign) % code.q
-        reduced.append({var: c for var, c in merged.items() if c})
+    steps = sum(len(labels) - 1 for labels in walks)
+    total = code.n**steps
+    if total > COUNT_BUDGET:
+        raise ResourceError(
+            f"n^{steps} = {total} exceeds the exact-count budget {COUNT_BUDGET}"
+        )
+    equations = _vertex_equations(walks, code.q)
     if drop_vertex is None:
-        # the equations sum to zero, so the widest one follows from the rest
-        drop_vertex = 1 + max(range(len(reduced)), key=lambda a: len(reduced[a]))
+        drop_vertex = 1 + max(range(len(equations)), key=lambda a: len(equations[a]))
     operands: list = []
     tensors: dict[tuple[int, ...], np.ndarray] = {}
     constrained: set[int] = set()
-    for a, merged in enumerate(reduced, start=1):
-        if a == drop_vertex or not merged:
+    for a, eq in enumerate(equations, start=1):
+        if a == drop_vertex or not eq:
             continue
-        live = sorted(merged)
-        coeffs = tuple(merged[var] for var in live)
+        live = sorted(eq)
+        coeffs = tuple(eq[var] for var in live)
         if coeffs not in tensors:
             tensors[coeffs] = _vertex_tensor(code, coeffs)
         operands += [tensors[coeffs], live]
         constrained.update(live)
-    free = code.n ** (system.nvars - len(constrained))
+    free = code.n ** (steps - len(constrained))
     if not operands:
         return free
     return int(np.einsum(*operands, [], optimize="greedy")) * free
@@ -333,12 +307,7 @@ def _count_solutions(
 
 def count_W(code: LinearCode, path: ClosedPath) -> int:
     """Number of column-index tuples solving every vertex equation."""
-    total = code.n**path.length
-    if total > W_BUDGET:
-        raise ResourceError(
-            f"n^l = {total} exceeds the exact-count budget {W_BUDGET}"
-        )
-    return _count_solutions(code, vertex_system(path))
+    return _count_solutions(code, (path.labels,))
 
 
 def count_W_pair(
@@ -347,12 +316,7 @@ def count_W_pair(
     """Solutions of the joint pair system.  One equation is always
     redundant: the count leaves out the widest one, or the one at
     `drop_vertex` (1-based label), which must not change the count."""
-    total = code.n ** (2 * pair.length)
-    if total > PAIR_BUDGET:
-        raise ResourceError(
-            f"n^(2l) = {total} exceeds the exact-count budget {PAIR_BUDGET}"
-        )
-    return _count_solutions(code, pair_vertex_system(pair), drop_vertex)
+    return _count_solutions(code, (pair.labels1, pair.labels2), drop_vertex)
 
 
 def _all_maps_sum(edges, n: int, big_n: int, first_row, gram):
@@ -484,7 +448,7 @@ def paths_audit(code: LinearCode, length: int) -> dict:
         checks["catalan_identity_ok"] = enumerated == formula
 
     pair_section = None
-    if n ** (2 * length) <= PAIR_BUDGET and length <= 4:
+    if n ** (2 * length) <= COUNT_BUDGET and length <= 4:
         pair_list = enumerate_pair_classes(length, simple=True)
         pair_records = []
         for pair in pair_list:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .codes import LinearCode, codewords
 from .errors import ParameterError
-from .rng import SeedContract, XorShift64Star
+from .rng import XorShift64Star
 
 MODE_DISTINCT = "distinct"
 MODE_WITH_REPLACEMENT = "with_replacement"
@@ -33,10 +33,6 @@ class SignalMatrix:
     """p x n matrix of character-mapped sampled codewords."""
 
     entries: np.ndarray
-    mode: str
-    seed: SeedContract
-    q: int
-    code_label: str = ""
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries)
@@ -92,10 +88,4 @@ def sample_codewords(
     """Draw p codewords (per `mode`) and return their character-map rows."""
     rng = XorShift64Star(seed, stream_index)
     indices = sample_message_indices(code, p, mode, rng)
-    return SignalMatrix(
-        entries=char_map(codewords(code, indices), code.q),
-        mode=mode,
-        seed=SeedContract(seed, stream_index),
-        q=code.q,
-        code_label=code.label,
-    )
+    return SignalMatrix(char_map(codewords(code, indices), code.q))

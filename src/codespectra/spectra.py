@@ -158,17 +158,6 @@ class SpectralSummary:
     eigenvalues: tuple[float, ...]
     ks_to_law: float
     moments: tuple[tuple[int, float], ...]
-    law: LawSpec
-    metadata: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "ks_to_law": self.ks_to_law,
-            "moments": [[ell, a] for ell, a in self.moments],
-            "law": {"kind": self.law.kind, "y": self.law.y},
-            "metadata": dict(self.metadata),
-        }
 
 
 def summarize(
@@ -182,14 +171,4 @@ def summarize(
         eigenvalues=tuple(float(x) for x in eigs),
         ks_to_law=ks_statistic(eigs, law),
         moments=tuple(trace_moments(eigs, ell_max)),
-        law=law,
-        metadata={
-            "code": sig.code_label,
-            "n": sig.n,
-            "p": sig.p,
-            "seed": sig.seed.seed,
-            "stream_index": sig.seed.stream_index,
-            "mode": sig.mode,
-            "centered": centered,
-        },
     )

@@ -209,6 +209,9 @@ def test_unknown_code_selector_exit_code(tmp_path):
     ["code-info", "--code", "file", "--file", "{tmp}/overflow.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/big_q.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/composite_q.txt"],
+    # ternary [42, 41]: the dual-distance search stops at its work bound,
+    # then N = 3^41 codewords are too many for the sampled weight report
+    ["code-info", "--code", "file", "--file", "{tmp}/tern42.txt"],
     # N = 2^69 codewords: more than a 64-bit draw can index
     ["spectrum", "--code", "even", "--n", "70", "--p", "8", "--repeats", "1"],
     ["code-info", "--code", "even", "--n", "5", "--out", "{tmp}/header.txt/x"],
@@ -219,6 +222,9 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "overflow.txt").write_text("2 1 1 99999999999999999999\n")
     (tmp_path / "big_q.txt").write_text("2305843009213693951 1 1 1\n")  # 2^61 - 1
     (tmp_path / "composite_q.txt").write_text("15 1 1 1\n")
+    tern = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
+    (tmp_path / "tern42.txt").write_text(
+        "3 42 41\n" + "\n".join(" ".join(map(str, row)) for row in tern) + "\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "x")]

@@ -223,6 +223,36 @@ def test_sampled_report_memory_is_bounded():
     assert peak < 8 << 20
 
 
+def test_sampled_report_small_code_terminates():
+    # 2^15 distinct nonzero indices do not exist when N - 1 < 2^15: the
+    # sample takes all N - 1 of them
+    base = cs.make_even_weight(10)
+    code = LinearCode(q=2, generator=np.asarray(base.generator), label="blob",
+                      known_dual_distance=10)
+    rep = cs.code_report(code, exhaustive_limit=100)
+    assert rep.method == "sampled"
+    exhaustive = cs.code_report(code)
+    assert exhaustive.method == "exhaustive"
+    assert rep.weight_set == exhaustive.weight_set == (2, 4, 6, 8, 10)
+    assert rep.coherence == exhaustive.coherence == 10.0
+
+
+def test_sampled_report_refuses_more_than_2_64_codewords():
+    base = cs.make_even_weight(70)  # N = 2^69
+    code = LinearCode(q=2, generator=np.asarray(base.generator), label="blob",
+                      known_dual_distance=70)
+    with pytest.raises(ParameterError, match=f"N = {2**69}"):
+        cs.code_report(code)
+
+
+def test_dual_distance_subset_search_is_bounded_by_work():
+    # ternary [42, 41]: identity plus an all-ones column, dual distance 42;
+    # sizes 1-3 are searched, C(42,4) * 4 * 41 rank steps are over budget
+    gen = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
+    code = LinearCode(q=3, generator=gen)
+    assert cs.dual_distance_status(code, 5).label == ">=4"
+
+
 def test_dual_distance_pair_budget():
     # shipped generators with the known fields stripped: n = 2048 is
     # searched, n = 8191 is refused before the pair sums are allocated

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 import codespectra as cs
 from codespectra import ParameterError, ResourceError
 from codespectra.paths import (
+    COUNT_BUDGET,
     MODE_ALL_MAPS,
     MODE_INJECTIVE,
+    _vertex_equations,
     canonical_labels,
-    pair_vertex_system,
-    vertex_system,
 )
 
 
 def naive_count_w(code, labels, labels2=(), drop_vertex=None):
     """Oracle: count column-index tuples straight from the per-vertex column
-    sums, independently of the production vertex-system evaluator.  A second
+    sums, independently of the production equation builder.  A second
     walk enters with the opposite sign (its product is conjugated), and the
     equation of `drop_vertex` is left out."""
     n, q, k = code.n, code.q, code.k
@@ -164,25 +164,23 @@ def test_catalan_identity():
         cs.count_double_tree_classes(3)
 
 
-def test_vertex_system_signed_slots_cancel():
-    # one equation is redundant: the signed slots sum to zero over vertices
-    for labels in ((1, 2, 1), (1, 2, 3, 1), (1, 2, 1, 3, 1), (1, 1, 2, 1)):
-        system = vertex_system(cs.closed_path(labels))
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_vertex_equations_cancel(q):
+    # one equation is redundant: each variable's coefficients sum to 0 mod q
+    for walks in (
+        ((1, 2, 1),), ((1, 2, 3, 1),), ((1, 2, 1, 3, 1),), ((1, 1, 2, 1),),
+        ((1, 2, 1), (2, 3, 2)), ((1, 2, 3, 1), (1, 3, 2, 1)), ((1, 1, 1), (1, 2, 1)),
+    ):
+        equations = _vertex_equations(walks, q)
+        assert len(equations) == max(map(max, walks))
         totals = {}
-        for eq in system.equations:
-            for var, sign in eq:
-                totals[var] = totals.get(var, 0) + sign
-        assert all(v == 0 for v in totals.values())
-
-
-def test_pair_vertex_system_signed_slots_cancel():
-    pair = cs.path_pair((1, 2, 1), (2, 3, 2))
-    system = pair_vertex_system(pair)
-    totals = {}
-    for eq in system.equations:
-        for var, sign in eq:
-            totals[var] = totals.get(var, 0) + sign
-    assert all(v == 0 for v in totals.values())
+        for eq in equations:
+            for var, c in eq.items():
+                assert 0 < c < q
+                totals[var] = totals.get(var, 0) + c
+        steps = sum(len(w) - 1 for w in walks)
+        assert set(totals) <= set(range(steps))
+        assert all(t % q == 0 for t in totals.values()), walks
 
 
 def test_count_w_single_edge(even5):
@@ -228,7 +226,16 @@ def test_pair_enumeration_small():
     # v_meet spans 0..2 at length 2
     assert {p.v_meet for p in pairs} == {0, 1, 2}
     for p in pairs:
-        assert p.v_union + p.v_meet == p.v1 + p.v2
+        assert p.v_union + p.v_meet == len(set(p.labels1)) + len(set(p.labels2))
+
+
+def test_count_w_pair_conjugates_second_walk():
+    # over F_3 the sign of the second walk matters: a triangle paired with
+    # itself and with its reversal have different counts
+    for labels2, expected in (((1, 2, 3, 1), 124), ((1, 3, 2, 1), 106)):
+        pair = cs.path_pair((1, 2, 3, 1), labels2)
+        assert naive_count_w(TERNARY, pair.labels1, pair.labels2) == expected
+        assert cs.count_W_pair(TERNARY, pair) == expected
 
 
 def test_path_pair_joint_canonical():
@@ -260,6 +267,19 @@ def test_pair_budget(even7):
     pair = cs.path_pair((1, 2, 1, 3, 1, 4, 1), (1, 2, 1, 3, 1, 4, 1))
     with pytest.raises(ResourceError):
         cs.count_W_pair(even7, pair)
+
+
+def test_count_budget_boundary():
+    # all-loop walks leave every equation empty, so the count is n^steps
+    # without building a tensor; n = 10 puts the budget at 8 steps
+    even10 = cs.make_even_weight(10)
+    assert COUNT_BUDGET == 10**8
+    assert cs.count_W(even10, cs.closed_path((1,) * 9)) == 10**8
+    with pytest.raises(ResourceError):
+        cs.count_W(even10, cs.closed_path((1,) * 10))
+    assert cs.count_W_pair(even10, cs.path_pair((1,) * 5, (1,) * 5)) == 10**8
+    with pytest.raises(ResourceError):
+        cs.count_W_pair(even10, cs.path_pair((1,) * 6, (1,) * 6))
 
 
 def test_expect_omega_equals_count_w(even5):
