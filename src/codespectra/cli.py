@@ -9,7 +9,8 @@ Subcommands:
 
 Every emitted JSON embeds the resolved config and sha256 checksums of the
 artifact files, so identical (config, seed) runs are byte-comparable.
-Exit codes: 0 ok, 2 parameter error, 3 resource (budget) error.
+Exit codes: 0 ok, 2 parameter error, 3 resource (budget) error, 4 an
+internal contract or convergence failure (see errors.py).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 from .codes import LinearCode, code_report, load_generator, make_even_weight, \
     make_gold, make_rm1
-from .errors import ParameterError, ResourceError
+from .errors import ContractViolationError, ConvergenceError, ParameterError, \
+    ResourceError
 from .laws import LawSpec
 from .paths import paths_audit
 from .signal import MODE_DISTINCT, MODE_WITH_REPLACEMENT, sample_codewords
@@ -328,6 +330,9 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    except (ContractViolationError, ConvergenceError) as exc:
+        print(f"contract error: {exc}", file=sys.stderr)
+        return 4
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

@@ -416,24 +416,34 @@ def code_report(
     construction's known weight set when one is attached (exact for binary
     codes, since the coherence only depends on the difference-codeword
     weight), else to a fixed-seed deterministic codeword sample flagged
-    non-certified.
+    non-certified.  The sample draws 64-bit message indices, so a code
+    that needs it with N > 2^64 is refused with ParameterError before the
+    dual-distance search starts.
     """
+    if code.N <= exhaustive_limit:
+        method = "exhaustive"
+    elif code.known_weights is not None and code.q == 2:
+        method = "structural"
+    else:
+        method = "sampled"
+        if code.N > 1 << 64:
+            raise ParameterError(
+                f"cannot sample the N = {code.N} codewords: message indices are 64-bit"
+            )
+
     if code.known_dual_distance is not None:
         d = code.known_dual_distance
         status = DualDistanceStatus(d, d)
     else:
         status = dual_distance_status(code, dual_bound)
 
-    if code.N <= exhaustive_limit:
+    if method == "exhaustive":
         weights, coherence = _weights_exhaustive(code)
-        method, certified = "exhaustive", True
-    elif code.known_weights is not None and code.q == 2:
+    elif method == "structural":
         weights = set(code.known_weights)
         coherence = max(abs(code.n - 2 * w) for w in weights)
-        method, certified = "structural", True
     else:
         weights, coherence = _weights_sampled(code)
-        method, certified = "sampled", False
 
     return CodeReport(
         n=code.n,
@@ -445,7 +455,7 @@ def code_report(
         coherence=float(coherence),
         coherence_constant=float(coherence) / sqrt(code.n),
         ratio_N_over_n=code.N / code.n,
-        certified=certified,
+        certified=method != "sampled",
         method=method,
     )
 
@@ -464,10 +474,6 @@ def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
 
 
 def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
-    if code.N > 1 << 64:
-        raise ParameterError(
-            f"cannot sample the N = {code.N} codewords: message indices are 64-bit"
-        )
     size = min(_REPORT_SAMPLE_SIZE, code.N - 1)
     rng = XorShift64Star(_REPORT_SAMPLE_SEED)
     indices = {code.q**i for i in range(code.k)}  # unit messages

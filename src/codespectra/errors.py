@@ -1,6 +1,9 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: ParameterError -> 2, ResourceError -> 3.
+The CLI maps these onto exit codes: ParameterError -> 2, ResourceError -> 3,
+and ContractViolationError or ConvergenceError -> 4, each with a one-line
+message on stderr.  Exit code 4 means the program failed one of its own
+checks on valid input; it is a bug to report, not a bad argument.
 """
 
 

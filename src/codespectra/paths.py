@@ -16,6 +16,14 @@ weighted column sum vanishes mod q (for binary codes, where the XOR of the
 packed columns is 0).  W is one int32 einsum over these tensors, times n
 for every variable that no equation constrains; `_count_solutions`
 refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
+The einsum takes the tensors in vertex-label order along a fixed path
+(each next tensor into the running product), so no path is searched per
+call.  The tensors come from the audit's `AuditOperands`, which builds
+each one once: scaled and sorted to a canonical coefficient tuple, an
+equation shares its tensor with every scalar multiple and reordering, so
+a binary code needs at most one tensor per degree.  A pair swapped is its
+system negated, with the same solutions, so `paths_audit` counts each
+pair once for it and its swap.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
 matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
@@ -27,9 +35,11 @@ vertex read only the row K[0, :], and the full N x N matrix is built only
 for v >= 3, where the budget keeps N small.  The injective sum follows by
 Moebius inversion over the set partitions of the walk's vertices: each
 partition contributes the all-maps sum of the quotient walk, weighted by
-prod over blocks B of (-1)^(|B|-1) (|B|-1)!.  Binary codes keep K and
-every partial sum in int64, so their expectations are exact ratios of
-integers.
+prod over blocks B of (-1)^(|B|-1) (|B|-1)!.  A quotient walk is itself
+a canonical walk, and many classes share it, so `AuditOperands` decodes
+the codewords, builds K[0, :] and K, and contracts each walk's all-maps
+sum once per audit.  Binary codes keep K and every partial sum in int64,
+so their expectations are exact ratios of integers.
 
 Double-tree detection: self-loop steps cancel singly, the remaining steps
 must cancel as adjacent reversals (stack reduction), and the vertex count
@@ -250,6 +260,101 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
     return [{var: c for var, c in eq.items() if c} for eq in eqs]
 
 
+class AuditOperands:
+    """Code-dependent operands shared by every count and expectation of one
+    audit, each built on first use: the vertex tensors, keyed by canonical
+    coefficients; the codeword Gram row K[0, :] and matrix K; and the
+    all-maps Gram sum of each walk.  count_W, count_W_pair and expect_omega
+    take one as `operands`; without it, each call builds its own."""
+
+    def __init__(self, code: LinearCode):
+        self.code = code
+        self._tensors: dict[tuple[int, ...], np.ndarray] = {}
+        self._rows: np.ndarray | None = None
+        self._first_row: np.ndarray | None = None
+        self._gram: np.ndarray | None = None
+        self._sums: dict[tuple[int, ...], int | complex] = {}
+
+    def vertex_operand(self, eq: dict[int, int]) -> tuple[np.ndarray, list[int]]:
+        """The 0/1 tensor of a vertex equation and the variable of each axis.
+
+        Scaling an equation by a unit (q is prime) or reordering its terms
+        leaves its solutions unchanged.  Each equation is therefore written
+        with the smallest sorted coefficient tuple among its scalings, and
+        equations with the same tuple share one tensor: a binary code has at
+        most one tensor per degree.
+        """
+        q = self.code.q
+        terms = min(
+            (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
+             for unit in set(eq.values())),
+            key=lambda ts: [c for c, _ in ts],
+        )
+        coeffs = tuple(c for c, _ in terms)
+        if coeffs not in self._tensors:
+            self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
+        return self._tensors[coeffs], [var for _, var in terms]
+
+    def all_maps_sum(self, labels: tuple[int, ...]):
+        """Sum over all maps f from the vertices of the connected closed walk
+        `labels` (canonical) to the codewords of the product over its steps
+        (a, b) of K[f(a), f(b)], computed once per walk.
+
+        Adding one codeword to every image leaves each K entry unchanged, so
+        the sum is N times its part with vertex 1 sent to the zero codeword;
+        steps at vertex 1 then need only the row K[0, :], and the full K is
+        read only for steps that avoid vertex 1.
+        """
+        if labels not in self._sums:
+            terms: list = []
+            loops = 0
+            for a, b in zip(labels, labels[1:]):
+                if a == b:
+                    loops += 1
+                elif a == 1:
+                    terms += [self.first_row(), [b - 1]]
+                elif b == 1:
+                    terms += [self.first_row().conj(), [a - 1]]
+                else:
+                    terms += [self.gram(), [a - 1, b - 1]]
+            total = self.code.N * self.code.n**loops
+            if terms:
+                total *= np.einsum(*terms, [], optimize="greedy").item()
+            self._sums[labels] = total
+        return self._sums[labels]
+
+    def _codeword_rows(self) -> np.ndarray:
+        if self._rows is None:
+            code = self.code
+            rows = char_map(codewords(code, np.arange(code.N)), code.q)
+            if code.q == 2:
+                rows = rows.astype(np.int64)  # K exact in integers
+            self._rows = rows
+        return self._rows
+
+    def first_row(self) -> np.ndarray:
+        """K[0, :], the Gram row of the zero codeword."""
+        if self._first_row is None:
+            rows = self._codeword_rows()
+            self._first_row = rows.conj() @ rows[0]
+        return self._first_row
+
+    def gram(self) -> np.ndarray:
+        """The full N x N codeword Gram matrix K."""
+        if self._gram is None:
+            rows = self._codeword_rows()
+            self._gram = rows @ rows.conj().T
+        return self._gram
+
+
+def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOperands:
+    if operands is None:
+        return AuditOperands(code)
+    if operands.code is not code:
+        raise ParameterError("the audit operands were built for another code")
+    return operands
+
+
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
     1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q."""
@@ -259,7 +364,7 @@ def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
         acc = cols
         for _ in coeffs[1:]:
             acc = acc[..., None] ^ cols
-        return (acc == 0).astype(np.int32)
+        return np.equal(acc, 0, out=np.empty(acc.shape, np.int32))
     ok = np.ones((code.n,) * len(coeffs), dtype=bool)
     for row in code.generator.astype(np.min_scalar_type(code.q**2)):
         terms = [c * row % code.q for c in coeffs]
@@ -270,10 +375,22 @@ def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     return ok.astype(np.int32)
 
 
-def _count_solutions(code: LinearCode, walks, drop_vertex: int | None = None) -> int:
+def _vertex_order_path(count: int) -> list:
+    """Explicit einsum path contracting `count` operands in list order: the
+    first two, then each next operand into the running product, which
+    einsum appends at the end of its operand list."""
+    if count == 1:
+        return ["einsum_path", (0,)]
+    return ["einsum_path", (0, 1)] + [(0, count - j) for j in range(2, count)]
+
+
+def _count_solutions(
+    code: LinearCode, walks, drop_vertex: int | None, operands: AuditOperands
+) -> int:
     """Exact number of column-index tuples, one index per step of `walks`,
-    that solve every vertex equation: one einsum over the vertex tensors,
-    leaving out the equation at `drop_vertex` or, by default, the widest.
+    that solve every vertex equation: one einsum over the vertex tensors in
+    vertex-label order, leaving out the equation at `drop_vertex` or, by
+    default, the widest.
 
     Every term is a non-negative count and every partial sum is at most
     n^(number of steps), which COUNT_BUDGET keeps within int32.
@@ -287,65 +404,50 @@ def _count_solutions(code: LinearCode, walks, drop_vertex: int | None = None) ->
     equations = _vertex_equations(walks, code.q)
     if drop_vertex is None:
         drop_vertex = 1 + max(range(len(equations)), key=lambda a: len(equations[a]))
-    operands: list = []
-    tensors: dict[tuple[int, ...], np.ndarray] = {}
+    terms: list = []
     constrained: set[int] = set()
     for a, eq in enumerate(equations, start=1):
         if a == drop_vertex or not eq:
             continue
-        live = sorted(eq)
-        coeffs = tuple(eq[var] for var in live)
-        if coeffs not in tensors:
-            tensors[coeffs] = _vertex_tensor(code, coeffs)
-        operands += [tensors[coeffs], live]
+        tensor, live = operands.vertex_operand(eq)
+        terms += [tensor, live]
         constrained.update(live)
     free = code.n ** (steps - len(constrained))
-    if not operands:
+    if not terms:
         return free
-    return int(np.einsum(*operands, [], optimize="greedy")) * free
+    path = _vertex_order_path(len(terms) // 2)
+    return int(np.einsum(*terms, [], optimize=path)) * free
 
 
-def count_W(code: LinearCode, path: ClosedPath) -> int:
+def count_W(
+    code: LinearCode, path: ClosedPath, operands: AuditOperands | None = None
+) -> int:
     """Number of column-index tuples solving every vertex equation."""
-    return _count_solutions(code, (path.labels,))
+    return _count_solutions(
+        code, (path.labels,), None, _operands_for(code, operands)
+    )
 
 
 def count_W_pair(
-    code: LinearCode, pair: PathPair, drop_vertex: int | None = None
+    code: LinearCode,
+    pair: PathPair,
+    drop_vertex: int | None = None,
+    operands: AuditOperands | None = None,
 ) -> int:
     """Solutions of the joint pair system.  One equation is always
     redundant: the count leaves out the widest one, or the one at
     `drop_vertex` (1-based label), which must not change the count."""
-    return _count_solutions(code, (pair.labels1, pair.labels2), drop_vertex)
+    return _count_solutions(
+        code, (pair.labels1, pair.labels2), drop_vertex, _operands_for(code, operands)
+    )
 
 
-def _all_maps_sum(edges, n: int, big_n: int, first_row, gram):
-    """Sum over all maps f from the vertices of a connected closed walk to
-    the codewords of the product over its edges (a, b) of K[f(a), f(b)].
-
-    Adding one codeword to every image leaves each K entry unchanged, so
-    the sum is N times its part with vertex 0 sent to the zero codeword;
-    edges at vertex 0 then need only first_row = K[0, :], and `gram` (the
-    full K) is read only for edges that avoid vertex 0.
-    """
-    operands: list = []
-    loops = 0
-    for a, b in edges:
-        if a == b:
-            loops += 1
-        elif a == 0:
-            operands += [first_row, [b]]
-        elif b == 0:
-            operands += [first_row.conj(), [a]]
-        else:
-            operands += [gram, [a, b]]
-    total = big_n * n**loops
-    if operands:
-        total *= np.einsum(*operands, [], optimize="greedy").item()
-    return total
-
-
-def expect_omega(code: LinearCode, path: ClosedPath, mode: str) -> complex:
+def expect_omega(
+    code: LinearCode,
+    path: ClosedPath,
+    mode: str,
+    operands: AuditOperands | None = None,
+) -> complex:
     """Exact average of prod_j <s(gamma(j)), s(gamma(j+1))> over maps from
     the walk's vertices to the character-mapped code (all maps or only
     injective ones)."""
@@ -364,37 +466,29 @@ def expect_omega(code: LinearCode, path: ClosedPath, mode: str) -> complex:
     if mode == MODE_INJECTIVE and big_n < v:
         raise ParameterError(f"no injective maps: N={big_n} < v={v}")
 
-    first_row = gram = None
-    if v > 1:
-        rows = char_map(codewords(code, np.arange(big_n)), code.q)
-        if code.q == 2:
-            rows = rows.astype(np.int64)  # K exact in integers
-        first_row = rows.conj() @ rows[0]
-        if v > 2:
-            gram = rows @ rows.conj().T
-    edges = [(path.labels[j] - 1, path.labels[j + 1] - 1) for j in range(ell)]
+    operands = _operands_for(code, operands)
     if mode == MODE_ALL_MAPS:
-        total = _all_maps_sum(edges, n, big_n, first_row, gram)
-        return complex(total / big_n**v)
+        return complex(operands.all_maps_sum(path.labels) / big_n**v)
     total = 0
     for blocks in _growth_strings(v, simple=False):
         weight = 1
         for b in range(1, max(blocks) + 1):
             size = blocks.count(b)
             weight *= (-1) ** (size - 1) * factorial(size - 1)
-        quotient = [(blocks[a] - 1, blocks[b] - 1) for a, b in edges]
-        total += weight * _all_maps_sum(quotient, n, big_n, first_row, gram)
+        quotient = tuple(blocks[x - 1] for x in path.labels)
+        total += weight * operands.all_maps_sum(quotient)
     return complex(total / perm(big_n, v))
 
 
 def paths_audit(code: LinearCode, length: int) -> dict:
     """Per-class exact audit plus the module's invariant booleans."""
     n = code.n
+    operands = AuditOperands(code)
     records = []
     w_of: dict[tuple[int, ...], int] = {}
     for path in enumerate_closed_classes(length, simple=False):
         try:
-            w = count_W(code, path)
+            w = count_W(code, path, operands=operands)
         except ResourceError as exc:
             raise ResourceError(f"class {path.labels}: {exc}") from None
         w_of[path.labels] = w
@@ -411,10 +505,10 @@ def paths_audit(code: LinearCode, length: int) -> dict:
             "expectation_injective": None,
         }
         if code.N**path.v * path.length * n <= OMEGA_BUDGET:
-            e_all = expect_omega(code, path, MODE_ALL_MAPS)
+            e_all = expect_omega(code, path, MODE_ALL_MAPS, operands=operands)
             rec["expectation_all"] = [e_all.real, e_all.imag]
             if path.v <= code.N:
-                e_inj = expect_omega(code, path, MODE_INJECTIVE)
+                e_inj = expect_omega(code, path, MODE_INJECTIVE, operands=operands)
                 rec["expectation_injective"] = [e_inj.real, e_inj.imag]
         records.append(rec)
 
@@ -451,8 +545,15 @@ def paths_audit(code: LinearCode, length: int) -> dict:
     if n ** (2 * length) <= COUNT_BUDGET and length <= 4:
         pair_list = enumerate_pair_classes(length, simple=True)
         pair_records = []
+        # The swapped pair's system is this one negated, with the same
+        # solutions, so each count is computed once for a pair and its swap.
+        pair_w: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for pair in pair_list:
-            wp = count_W_pair(code, pair)
+            swap = canonical_labels(pair.labels2 + pair.labels1)
+            wp = pair_w.get((swap[:len(pair.labels2)], swap[len(pair.labels2):]))
+            if wp is None:
+                wp = count_W_pair(code, pair, operands=operands)
+            pair_w[pair.labels1, pair.labels2] = wp
             w1 = w_of[pair.first().labels]
             w2 = w_of[pair.second().labels]
             pair_records.append({
@@ -471,7 +572,8 @@ def paths_audit(code: LinearCode, length: int) -> dict:
         redundancy_ok = True
         for pair, rec in zip(pair_list[:6], pair_records[:6]):
             for a in range(1, pair.v_union + 1):
-                if count_W_pair(code, pair, drop_vertex=a) != rec["W_pair"]:
+                if count_W_pair(code, pair, drop_vertex=a,
+                                operands=operands) != rec["W_pair"]:
                     redundancy_ok = False
         checks["redundant_equation_ok"] = redundancy_ok
         pair_section = pair_records

@@ -5,8 +5,9 @@ benchmark worker (without running it) and checks every name it patches."""
 import importlib.util
 from pathlib import Path
 
+import codespectra as cs
 import codespectra.signal
-from codespectra import cli, laws
+from codespectra import cli, laws, paths
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -24,3 +25,17 @@ def test_traced_names_exist(monkeypatch):
         assert callable(getattr(cli, name, None)), f"cli.{name}"
     assert callable(laws.LawSpec.cdf)
     assert callable(codespectra.signal.sample_codewords)
+
+
+def test_paths_audit_calls_traced_layers(monkeypatch):
+    # the traced mode times count_W, count_W_pair and expect_omega by
+    # patching the module attributes, so paths_audit must call them there
+    calls = {}
+    for name in ("count_W", "count_W_pair", "expect_omega"):
+        def counted(*args, _name=name, _fn=getattr(paths, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(paths, name, counted)
+    paths.paths_audit(cs.make_even_weight(4), 3)
+    assert set(calls) == {"count_W", "count_W_pair", "expect_omega"}

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from codespectra import ContractViolationError, ConvergenceError, spectra
 from codespectra.cli import ExperimentConfig, cmd_code_info, cmd_moments, \
     cmd_mp, cmd_paths_audit, cmd_spectrum, main
 
@@ -209,8 +210,8 @@ def test_unknown_code_selector_exit_code(tmp_path):
     ["code-info", "--code", "file", "--file", "{tmp}/overflow.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/big_q.txt"],
     ["code-info", "--code", "file", "--file", "{tmp}/composite_q.txt"],
-    # ternary [42, 41]: the dual-distance search stops at its work bound,
-    # then N = 3^41 codewords are too many for the sampled weight report
+    # ternary [42, 41]: N = 3^41 codewords are too many for the sampled
+    # weight report, refused before the dual-distance search starts
     ["code-info", "--code", "file", "--file", "{tmp}/tern42.txt"],
     # N = 2^69 codewords: more than a 64-bit draw can index
     ["spectrum", "--code", "even", "--n", "70", "--p", "8", "--repeats", "1"],
@@ -230,3 +231,16 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
         argv += ["--out", str(tmp_path / "x")]
     assert run_main(argv) == 2
     assert capsys.readouterr().err.startswith("parameter error:")
+
+
+@pytest.mark.parametrize("error", [ContractViolationError, ConvergenceError])
+def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch, error):
+    def failing_eig(h):
+        raise error("injected failure")
+
+    monkeypatch.setattr(spectra, "eig_hermitian", failing_eig)
+    rc = run_main(["spectrum", "--code", "even", "--n", "5", "--p", "8",
+                   "--repeats", "1", "--out", str(tmp_path / "x")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == "contract error: injected failure\n"

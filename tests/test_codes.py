@@ -245,6 +245,18 @@ def test_sampled_report_refuses_more_than_2_64_codewords():
         cs.code_report(code)
 
 
+def test_sampled_report_refusal_precedes_dual_distance_search(monkeypatch):
+    # ternary [42, 41]: N = 3^41 > 2^64 and no known weights, so the report
+    # must refuse before spending time on the dual distance
+    def no_search(code, bound):
+        raise AssertionError("dual-distance search started")
+
+    monkeypatch.setattr(cs.codes, "dual_distance_status", no_search)
+    gen = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
+    with pytest.raises(ParameterError, match=f"N = {3**41}"):
+        cs.code_report(LinearCode(q=3, generator=gen))
+
+
 def test_dual_distance_subset_search_is_bounded_by_work():
     # ternary [42, 41]: identity plus an all-ones column, dual distance 42;
     # sizes 1-3 are searched, C(42,4) * 4 * 41 rank steps are over budget

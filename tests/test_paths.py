@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codespectra as cs
-from codespectra import ParameterError, ResourceError
+from codespectra import ParameterError, ResourceError, paths
 from codespectra.paths import (
     COUNT_BUDGET,
+    AuditOperands,
     MODE_ALL_MAPS,
     MODE_INJECTIVE,
     _vertex_equations,
@@ -360,6 +363,77 @@ def test_count_w_pair_matches_oracle_on_small_codes(code, ell, data):
     drop = data.draw(st.one_of(st.none(), st.integers(1, pair.v_union)))
     expected = naive_count_w(code, pair.labels1, pair.labels2, drop_vertex=drop)
     assert cs.count_W_pair(code, pair, drop_vertex=drop) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes(), st.integers(1, 3), st.data())
+def test_count_w_pair_swap_identity(code, ell, data):
+    # the swapped pair's system is the negated one, with the same solutions;
+    # paths_audit reuses each pair's count for its swap
+    labels1 = data.draw(walk_labels(ell, ell))
+    offset = data.draw(st.sampled_from([0, 1, 3]))
+    labels2 = tuple(x + offset for x in data.draw(walk_labels(ell, ell)))
+    pair = cs.path_pair(labels1, labels2)
+    swapped = cs.path_pair(labels2, labels1)
+    assert cs.count_W_pair(code, pair) == cs.count_W_pair(code, swapped)
+
+
+def test_paths_audit_counts_a_pair_and_its_swap_once(monkeypatch):
+    counted = []
+    count_pair = paths.count_W_pair
+
+    def recording(code, pair, drop_vertex=None, operands=None):
+        if drop_vertex is None:
+            counted.append((pair.labels1, pair.labels2))
+        return count_pair(code, pair, drop_vertex, operands)
+
+    monkeypatch.setattr(paths, "count_W_pair", recording)
+    audit = cs.paths_audit(cs.make_even_weight(4), 3)
+    assert len(set(counted)) == len(counted) < len(audit["pairs"])
+    for labels1, labels2 in counted:
+        swap = cs.path_pair(labels2, labels1)
+        key = (swap.labels1, swap.labels2)
+        assert key == (labels1, labels2) or key not in counted
+
+
+def test_vertex_tensors_are_shared_by_canonical_coefficients():
+    ops = AuditOperands(TERNARY)
+    t1, vars1 = ops.vertex_operand({4: 2, 7: 1, 9: 1})
+    t2, vars2 = ops.vertex_operand({0: 1, 1: 2, 5: 2})  # twice the first
+    assert t1 is t2
+    assert vars1 == [7, 9, 4] and vars2 == [1, 5, 0]
+    binary = AuditOperands(cs.make_even_weight(4))
+    for path in cs.enumerate_closed_classes(4, simple=False):
+        cs.count_W(binary.code, path, operands=binary)
+    for pair in cs.enumerate_pair_classes(3):
+        cs.count_W_pair(binary.code, pair, operands=binary)
+    degrees = [len(coeffs) for coeffs in binary._tensors]
+    assert len(degrees) == len(set(degrees))
+
+
+def test_operands_of_another_code_are_refused(even5, even7):
+    with pytest.raises(ParameterError):
+        cs.count_W(even5, cs.closed_path((1, 2, 1)), operands=AuditOperands(even7))
+
+
+# sha256 of json.dumps(paths_audit(code, l), sort_keys=True); the audits are
+# exact, so any change of contraction order or caching must leave them as is
+AUDIT_SHA256 = {
+    ("even", 4, 4): "8bcae169e85c5d2e85ece9a0eafaf70b2babc05a44d8e3a4b3f182a18e786aae",
+    ("even", 4, 5): "6774d3337df37214e698fddc375669438f58baaa82bf9e5fa66890e38fc51a65",
+    ("gold", 5, 3): "263e7811ab71fda974697e2adb1d90b34c29dcf8670c14615e24fe370696862d",
+    ("gold", 5, 4): "89552fdb5c02fc58422ae523defb4384369862b610395242cafe35240f57deed",
+    ("rm1", 3, 3): "23f3f8337745c2c6b0d16baa6505afab2cac4d181a4eee9d94f9f21f7d8f5a5d",
+    ("even", 3, 6): "b7f791711fc5282220b13869bae63522cba632f4dae99d81a4ccee5d108d3635",
+}
+
+
+@pytest.mark.parametrize("family,size,ell", sorted(AUDIT_SHA256))
+def test_paths_audit_is_pinned(family, size, ell):
+    make = {"even": cs.make_even_weight, "gold": cs.make_gold, "rm1": cs.make_rm1}
+    audit = cs.paths_audit(make[family](size), ell)
+    digest = hashlib.sha256(json.dumps(audit, sort_keys=True).encode()).hexdigest()
+    assert digest == AUDIT_SHA256[family, size, ell]
 
 
 @settings(max_examples=40, deadline=None)
