@@ -37,6 +37,11 @@ from .spectra import summarize
 from .svg import render_histogram_svg
 
 MOMENT_BOUND_MULTIPLIER = 3.0  # converts the unconstanted error scale into a gate
+# Bytes one repeat of spectrum, mp or moments may allocate, checked before
+# sampling.  Estimated from tracemalloc peaks: 4 float64 p x n arrays for the
+# sample (6 for complex q > 2), 5 float64 copies of the p x p Gram (of its
+# 2p x 2p real embedding for complex input), 400 bytes per histogram bin.
+REPEAT_BYTES_BUDGET = 1 << 30
 
 
 @dataclass
@@ -54,9 +59,6 @@ class ExperimentConfig:
     bins: int = 40
     lmax: int = 6
     out: str = "out"
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def resolve_code(cfg: ExperimentConfig) -> LinearCode:
@@ -121,6 +123,16 @@ def _finish(summary: dict, out_dir: Path, name: str) -> dict:
     return summary
 
 
+def _check_repeat_bytes(code: LinearCode, p: int, bins: int) -> None:
+    side = p if code.q == 2 else 2 * p
+    need = p * code.n * (32 if code.q == 2 else 48) + 40 * side**2 + 400 * bins
+    if need > REPEAT_BYTES_BUDGET:
+        raise ResourceError(
+            f"one repeat at p={p}, n={code.n}, bins={bins} needs about {need} "
+            f"bytes, over the budget of {REPEAT_BYTES_BUDGET}"
+        )
+
+
 def _run_esd_experiment(
     cfg: ExperimentConfig, code: LinearCode, p: int, law: LawSpec,
     mode: str, centered: bool,
@@ -129,6 +141,7 @@ def _run_esd_experiment(
         raise ParameterError(f"need --repeats >= 1, got {cfg.repeats}")
     if cfg.bins < 1:
         raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
+    _check_repeat_bytes(code, p, cfg.bins)
     out_dir = _out_dir(cfg)
     per_repeat = []
     artifacts: dict[str, str] = {}
@@ -158,7 +171,7 @@ def _run_esd_experiment(
         })
     ks_values = [r["ks"] for r in per_repeat]
     return {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "code": {"label": code.label, "n": code.n, "k": code.k, "N": code.N},
         "p": p,
         "law": {"kind": law.kind, "y": law.y},
@@ -212,6 +225,7 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
     mode = cfg.mode or MODE_DISTINCT
     if mode != MODE_DISTINCT:
         raise ParameterError("moment statistics use distinct sampling")
+    _check_repeat_bytes(code, cfg.p, bins=0)
 
     report = code_report(code)
     c = report.coherence_constant
@@ -249,9 +263,9 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
 
     out_dir = _out_dir(cfg)
     summary = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "code": {"label": code.label, "n": n, "k": code.k, "N": big_n},
-        "code_report": report.as_dict(),
+        "code_report": asdict(report),
         "multiplier": MOMENT_BOUND_MULTIPLIER,
         "per_l": per_l,
         "artifacts": {},
@@ -264,9 +278,9 @@ def cmd_code_info(cfg: ExperimentConfig) -> dict:
     report = code_report(code)
     out_dir = _out_dir(cfg)
     summary = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "label": code.label,
-        "report": report.as_dict(),
+        "report": asdict(report),
         "artifacts": {},
     }
     return _finish(summary, out_dir, "code_info.json")
@@ -277,7 +291,7 @@ def cmd_paths_audit(cfg: ExperimentConfig) -> dict:
     audit = paths_audit(code, cfg.lmax)
     out_dir = _out_dir(cfg)
     summary = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "audit": audit,
         "artifacts": {},
     }

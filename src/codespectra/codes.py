@@ -31,9 +31,10 @@ from .rng import XorShift64Star
 # Budgets for dual-distance searches of codes without a known dual
 # distance.  Sizes 3-4 hold all C(n,2) pair sums in one array of at most
 # 8 bytes each (4 when k <= 32), so PAIR_BUDGET caps that array at 64 MB:
-# n = 4096 fits, n = 8191 is refused with ResourceError.  The size-5
-# witness search is gated by C(n,5) <= WITNESS_BUDGET_5 (n <= 105);
-# beyond it the search certifies ">=5" only.  The subset search (every
+# n = 4096 fits, n = 8191 is refused with ResourceError.  Size 5 looks up
+# all n * C(n,2) sums of a column and a pair sum among the pair sums; it is
+# gated by C(n,5) <= WITNESS_BUDGET_5 (n <= 105, at most 573,300 lookups),
+# and beyond it the search certifies ">=5" only.  The subset search (every
 # size of a non-binary code, sizes above 5 of a binary one) ranks each
 # size-column subset over k rows; it stops before a size whose
 # C(n, size) * size * k rank steps exceed RANK_STEP_BUDGET and certifies
@@ -279,10 +280,11 @@ def dual_distance_status(code: LinearCode, bound: int) -> DualDistanceStatus:
     sums are sorted once (refused with ResourceError beyond PAIR_BUDGET):
     size 3 is a pair sum equal to a column, size 4 a repeated pair sum (all
     collisions are index-disjoint once columns are distinct), and size 5 a
-    witness search gated at C(n,5) <= WITNESS_BUDGET_5.  Returns the exact
-    value when a dependent set of size <= bound is found, else
-    ">= searched+1".  This searches even when the code carries a
-    `known_dual_distance`; `code_report` is the caller that trusts it.
+    column plus a pair sum equal to a pair sum, gated at C(n,5) <=
+    WITNESS_BUDGET_5.  Returns the exact value when a dependent set of size
+    <= bound is found, else ">= searched+1".  This searches even when the
+    code carries a `known_dual_distance`; `code_report` is the caller that
+    trusts it.
     """
     if bound < 2:
         raise ParameterError(f"bound must be >= 2, got {bound}")
@@ -318,9 +320,7 @@ def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
         np.bitwise_xor(cols[i], cols[i + 1:], out=pair_xor[start:stop])
         start = stop
     pair_xor.sort()
-    at = np.searchsorted(pair_xor, cols)
-    hit = at < pairs
-    if (pair_xor[at[hit]] == cols[hit]).any():
+    if _any_in_sorted(pair_xor, cols):
         return DualDistanceStatus(3, 3)
     if bound < 4:
         return DualDistanceStatus(None, 3)
@@ -333,26 +333,24 @@ def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
 
     if comb(n, 5) > WITNESS_BUDGET_5:
         return DualDistanceStatus(None, 4)
-    ii, jj = np.triu_indices(n, 1)
-    by_sum = {int(s): (int(a), int(b))
-              for s, a, b in zip(cols[ii] ^ cols[jj], ii, jj)}
-    cols_list = [int(c) for c in cols]
-    for s, (a, b) in list(by_sum.items()):
-        for c in range(n):
-            if c == a or c == b:
-                continue
-            other = by_sum.get(s ^ cols_list[c])
-            if other is None:
-                continue
-            d, e = other
-            if len({a, b, c, d, e}) == 5:
-                return DualDistanceStatus(5, 5)
+    # g_c + (g_a + g_b) = g_d + g_e: with no dependency of size <= 4, any
+    # such match has five distinct columns (a shared index would leave a
+    # dependent set of size <= 3)
+    if _any_in_sorted(pair_xor, cols[:, None] ^ pair_xor):
+        return DualDistanceStatus(5, 5)
     if bound == 5:
         return DualDistanceStatus(None, 5)
 
     return _dual_distance_subsets(
         np.asarray(code.generator), 2, bound, start=6, searched=5
     )
+
+
+def _any_in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> bool:
+    """Whether any query equals an entry of the sorted 1-d array."""
+    at = np.searchsorted(sorted_values, queries)
+    hit = at < sorted_values.size
+    return bool((sorted_values[at[hit]] == queries[hit]).any())
 
 
 def _dual_distance_subsets(
@@ -385,40 +383,23 @@ class CodeReport:
     certified: bool
     method: str
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "N": self.N,
-            "q": self.q,
-            "dual_distance_status": self.dual_distance_status,
-            "weight_set": list(self.weight_set),
-            "coherence": self.coherence,
-            "coherence_constant": self.coherence_constant,
-            "ratio_N_over_n": self.ratio_N_over_n,
-            "certified": self.certified,
-            "method": self.method,
-        }
-
 
 def code_report(
-    code: LinearCode,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT,
-    dual_bound: int = 5,
+    code: LinearCode, exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT
 ) -> CodeReport:
     """Dual distance, weight set and coherence of `code`.
 
     The dual distance is the construction's `known_dual_distance` when one
-    is attached (reported exact), else `dual_distance_status(code,
-    dual_bound)`, which may raise ResourceError before any weight is
-    computed.  Weights and coherence are exhaustive when N <=
-    exhaustive_limit.  Beyond the limit the report falls back to the
-    construction's known weight set when one is attached (exact for binary
-    codes, since the coherence only depends on the difference-codeword
-    weight), else to a fixed-seed deterministic codeword sample flagged
-    non-certified.  The sample draws 64-bit message indices, so a code
-    that needs it with N > 2^64 is refused with ParameterError before the
-    dual-distance search starts.
+    is attached (reported exact), else `dual_distance_status(code, 5)`,
+    searched up to the dual distance 5 that the semicircle law asks for,
+    which may raise ResourceError before any weight is computed.  Weights
+    and coherence are exhaustive when N <= exhaustive_limit.  Beyond the
+    limit the report falls back to the construction's known weight set
+    when one is attached (exact for binary codes, since the coherence only
+    depends on the difference-codeword weight), else to a fixed-seed
+    deterministic codeword sample flagged non-certified.  The sample draws
+    64-bit message indices, so a code that needs it with N > 2^64 is
+    refused with ParameterError before the dual-distance search starts.
     """
     if code.N <= exhaustive_limit:
         method = "exhaustive"
@@ -435,7 +416,7 @@ def code_report(
         d = code.known_dual_distance
         status = DualDistanceStatus(d, d)
     else:
-        status = dual_distance_status(code, dual_bound)
+        status = dual_distance_status(code, 5)
 
     if method == "exhaustive":
         weights, coherence = _weights_exhaustive(code)

@@ -13,17 +13,16 @@ variables whose coefficients cancel.  A pair's system is its two walks'
 systems glued on their shared vertices, the second walk negated.  Each
 equation becomes a 0/1 tensor over its variables, with entry 1 where the
 weighted column sum vanishes mod q (for binary codes, where the XOR of the
-packed columns is 0).  W is one int32 einsum over these tensors, times n
-for every variable that no equation constrains; `_count_solutions`
+packed columns is 0).  W is the int32 contraction of these tensors, times
+n for every variable that no equation constrains; `_count_solutions`
 refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
-The einsum takes the tensors in vertex-label order along a fixed path
-(each next tensor into the running product), so no path is searched per
-call.  The tensors come from the audit's `AuditOperands`, which builds
-each one once: scaled and sorted to a canonical coefficient tuple, an
-equation shares its tensor with every scalar multiple and reordering, so
-a binary code needs at most one tensor per degree.  A pair swapped is its
-system negated, with the same solutions, so `paths_audit` counts each
-pair once for it and its swap.
+`_contract` folds the tensors in vertex-label order, summing a variable
+out once no later tensor carries it.  The tensors come from the audit's
+`AuditOperands`, which builds each one once: scaled and sorted to a
+canonical coefficient tuple, an equation shares its tensor with every
+scalar multiple and reordering, so a binary code needs at most one tensor
+per degree.  A pair swapped is its system negated, with the same
+solutions, so `paths_audit` counts each pair once for it and its swap.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
 matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
@@ -37,9 +36,10 @@ Moebius inversion over the set partitions of the walk's vertices: each
 partition contributes the all-maps sum of the quotient walk, weighted by
 prod over blocks B of (-1)^(|B|-1) (|B|-1)!.  A quotient walk is itself
 a canonical walk, and many classes share it, so `AuditOperands` decodes
-the codewords, builds K[0, :] and K, and contracts each walk's all-maps
-sum once per audit.  Binary codes keep K and every partial sum in int64,
-so their expectations are exact ratios of integers.
+the codewords, builds K[0, :] and K, and folds each walk's Gram terms
+(in step order, through `_contract`) once per audit.  Binary codes keep K
+and every partial sum in int64, so their expectations are exact ratios of
+integers.
 
 Double-tree detection: self-loop steps cancel singly, the remaining steps
 must cancel as adjacent reversals (stack reduction), and the vertex count
@@ -211,12 +211,6 @@ class PathPair:
     def v_meet(self) -> int:
         return len(set(self.labels1) & set(self.labels2))
 
-    def first(self) -> ClosedPath:
-        return closed_path(self.labels1)
-
-    def second(self) -> ClosedPath:
-        return closed_path(self.labels2)
-
 
 def path_pair(labels1, labels2) -> PathPair:
     """Jointly canonicalize an ordered pair of closed walks."""
@@ -312,14 +306,14 @@ class AuditOperands:
                 if a == b:
                     loops += 1
                 elif a == 1:
-                    terms += [self.first_row(), [b - 1]]
+                    terms.append((self.first_row(), [b - 1]))
                 elif b == 1:
-                    terms += [self.first_row().conj(), [a - 1]]
+                    terms.append((self.first_row().conj(), [a - 1]))
                 else:
-                    terms += [self.gram(), [a - 1, b - 1]]
+                    terms.append((self.gram(), [a - 1, b - 1]))
             total = self.code.N * self.code.n**loops
             if terms:
-                total *= np.einsum(*terms, [], optimize="greedy").item()
+                total *= _contract(terms).item()
             self._sums[labels] = total
         return self._sums[labels]
 
@@ -375,24 +369,33 @@ def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     return ok.astype(np.int32)
 
 
-def _vertex_order_path(count: int) -> list:
-    """Explicit einsum path contracting `count` operands in list order: the
-    first two, then each next operand into the running product, which
-    einsum appends at the end of its operand list."""
-    if count == 1:
-        return ["einsum_path", (0,)]
-    return ["einsum_path", (0, 1)] + [(0, count - j) for j in range(2, count)]
+def _contract(terms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
+    """Sum over all axis labels of the product of (array, labels) `terms`,
+    as a 0-d array: a left-to-right fold of plain einsum calls that sums
+    each label out as soon as no later term carries it (within its own
+    term when no other term does)."""
+    last = {x: j for j, (_, axes) in enumerate(terms) for x in axes}
+    acc_axes: list[int] = []
+    for j, (op, axes) in enumerate(terms):
+        keep = [x for x in axes if x in acc_axes or last[x] > j]
+        if len(keep) < len(axes):
+            op, axes = np.einsum(op, axes, keep), keep
+        if j:
+            out = [x for x in dict.fromkeys(acc_axes + axes) if last[x] > j]
+            op, axes = np.einsum(acc, acc_axes, op, axes, out), out
+        acc, acc_axes = op, axes
+    return acc
 
 
 def _count_solutions(
     code: LinearCode, walks, drop_vertex: int | None, operands: AuditOperands
 ) -> int:
     """Exact number of column-index tuples, one index per step of `walks`,
-    that solve every vertex equation: one einsum over the vertex tensors in
-    vertex-label order, leaving out the equation at `drop_vertex` or, by
-    default, the widest.
+    that solve every vertex equation: the `_contract` fold of the vertex
+    tensors in vertex-label order, leaving out the equation at
+    `drop_vertex` or, by default, the widest.
 
-    Every term is a non-negative count and every partial sum is at most
+    Every term and every intermediate of the fold is a count of at most
     n^(number of steps), which COUNT_BUDGET keeps within int32.
     """
     steps = sum(len(labels) - 1 for labels in walks)
@@ -410,13 +413,12 @@ def _count_solutions(
         if a == drop_vertex or not eq:
             continue
         tensor, live = operands.vertex_operand(eq)
-        terms += [tensor, live]
+        terms.append((tensor, live))
         constrained.update(live)
     free = code.n ** (steps - len(constrained))
     if not terms:
         return free
-    path = _vertex_order_path(len(terms) // 2)
-    return int(np.einsum(*terms, [], optimize=path)) * free
+    return int(_contract(terms)) * free
 
 
 def count_W(
@@ -554,8 +556,8 @@ def paths_audit(code: LinearCode, length: int) -> dict:
             if wp is None:
                 wp = count_W_pair(code, pair, operands=operands)
             pair_w[pair.labels1, pair.labels2] = wp
-            w1 = w_of[pair.first().labels]
-            w2 = w_of[pair.second().labels]
+            w1 = w_of[canonical_labels(pair.labels1)]
+            w2 = w_of[canonical_labels(pair.labels2)]
             pair_records.append({
                 "labels1": list(pair.labels1),
                 "labels2": list(pair.labels2),

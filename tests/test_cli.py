@@ -187,11 +187,19 @@ def test_paths_audit_command(tmp_path):
     json.loads((tmp_path / "audit" / "paths_audit.json").read_text())
 
 
-def test_paths_audit_resource_exit_code(tmp_path):
-    # n^l = 7^10 blows the brute-force budget: exit code 3
-    rc = run_main(["paths-audit", "--code", "even", "--n", "7",
-                   "--lmax", "10", "--out", str(tmp_path / "x")])
-    assert rc == 3
+@pytest.mark.parametrize("argv", [
+    # n^l = 7^10 blows the brute-force budget
+    ["paths-audit", "--code", "even", "--n", "7", "--lmax", "10"],
+    # a 60000 x 60000 Gram (26.8 GiB) and a 10^9-bin histogram are refused
+    # by the repeat byte budget before the first sample
+    ["spectrum", "--code", "even", "--n", "30", "--p", "60000", "--repeats", "1"],
+    ["spectrum", "--code", "even", "--n", "5", "--p", "8", "--bins", "1000000000"],
+    ["moments", "--code", "even", "--n", "30", "--p", "60000", "--repeats", "2"],
+], ids=["paths-audit", "spectrum-p", "spectrum-bins", "moments-p"])
+def test_resource_error_exits_3(tmp_path, capsys, argv):
+    assert run_main(argv + ["--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource error:") and err.count("\n") == 1
 
 
 def test_unknown_code_selector_exit_code(tmp_path):

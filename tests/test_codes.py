@@ -145,7 +145,12 @@ def test_dual_distance_monotone(even5, rm1_3, gold5):
 
 def test_dual_distance_brute_force_oracle(even5, rm1_3):
     # minimum-size dependent column set by direct subset enumeration
-    for code, expected in ((even5, 5), (rm1_3, 4)):
+    # dual of the [8, 2, 5] code spanned by 10111100 and 01001111: its
+    # eight columns are distinct and first depend in a set of five
+    spans = np.array([[1, 0, 1, 1, 1, 1, 0, 0], [0, 1, 0, 0, 1, 1, 1, 1]])
+    dual_8_2 = cs.LinearCode(q=2, generator=np.hstack(
+        [spans[:, 2:].T, np.eye(6, dtype=int)]))
+    for code, expected in ((even5, 5), (rm1_3, 4), (dual_8_2, 5)):
         gen = np.asarray(code.generator)
         found = None
         for size in range(1, code.n + 1):
@@ -178,6 +183,9 @@ def test_code_report_gold5(gold5):
     assert rep.coherence == 9.0
     assert rep.coherence_constant == pytest.approx(9 / np.sqrt(31))
     assert rep.certified and rep.method == "exhaustive"
+    # without the attached value the report searches up to 5 and finds it
+    searched = cs.code_report(cs.LinearCode(q=2, generator=gold5.generator))
+    assert searched.dual_distance_status == "=5"
 
 
 def test_code_report_even5_coherence(even5):

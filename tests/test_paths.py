@@ -73,6 +73,8 @@ def naive_expect(code, labels, injective=False):
 
 
 TERNARY = cs.LinearCode(q=3, generator=np.array([[1, 0, 1, 2], [0, 1, 1, 1]]))
+TERNARY_6_3 = cs.LinearCode(q=3, generator=np.array(
+    [[1, 0, 0, 1, 1, 2], [0, 1, 0, 1, 2, 1], [0, 0, 1, 2, 1, 1]]))
 
 
 @st.composite
@@ -254,8 +256,8 @@ def test_lemma3_zero_case_l2(even5):
         if pair.v_meet > 1:
             continue
         wp = cs.count_W_pair(even5, pair)
-        w1 = cs.count_W(even5, pair.first())
-        w2 = cs.count_W(even5, pair.second())
+        w1 = cs.count_W(even5, cs.closed_path(pair.labels1))
+        w2 = cs.count_W(even5, cs.closed_path(pair.labels2))
         assert wp == w1 * w2, (pair.labels1, pair.labels2)
 
 
@@ -416,8 +418,10 @@ def test_operands_of_another_code_are_refused(even5, even7):
         cs.count_W(even5, cs.closed_path((1, 2, 1)), operands=AuditOperands(even7))
 
 
-# sha256 of json.dumps(paths_audit(code, l), sort_keys=True); the audits are
-# exact, so any change of contraction order or caching must leave them as is
+# sha256 of json.dumps(paths_audit(code, l), sort_keys=True).  Binary audits
+# are exact, so any change of contraction order or caching must leave them
+# as is; ternary expectations are complex floating-point sums, so their pins
+# also fix the order in which the Gram terms are contracted.
 AUDIT_SHA256 = {
     ("even", 4, 4): "8bcae169e85c5d2e85ece9a0eafaf70b2babc05a44d8e3a4b3f182a18e786aae",
     ("even", 4, 5): "6774d3337df37214e698fddc375669438f58baaa82bf9e5fa66890e38fc51a65",
@@ -425,12 +429,15 @@ AUDIT_SHA256 = {
     ("gold", 5, 4): "89552fdb5c02fc58422ae523defb4384369862b610395242cafe35240f57deed",
     ("rm1", 3, 3): "23f3f8337745c2c6b0d16baa6505afab2cac4d181a4eee9d94f9f21f7d8f5a5d",
     ("even", 3, 6): "b7f791711fc5282220b13869bae63522cba632f4dae99d81a4ccee5d108d3635",
+    ("tern", 4, 5): "e9e994157bb1750258a17973e61148667c7dcd17a6c8b4e853de3651ce446f93",
+    ("tern", 6, 3): "5848a20f7207804bb227214fbcb4cc419249e5db9b3ab4d74e02f7fb39dd7b78",
 }
 
 
 @pytest.mark.parametrize("family,size,ell", sorted(AUDIT_SHA256))
 def test_paths_audit_is_pinned(family, size, ell):
-    make = {"even": cs.make_even_weight, "gold": cs.make_gold, "rm1": cs.make_rm1}
+    make = {"even": cs.make_even_weight, "gold": cs.make_gold, "rm1": cs.make_rm1,
+            "tern": {4: TERNARY, 6: TERNARY_6_3}.get}
     audit = cs.paths_audit(make[family](size), ell)
     digest = hashlib.sha256(json.dumps(audit, sort_keys=True).encode()).hexdigest()
     assert digest == AUDIT_SHA256[family, size, ell]
