@@ -4,6 +4,7 @@ from .codes import (
     CodeReport,
     DualDistanceStatus,
     LinearCode,
+    char_map,
     code_report,
     codewords,
     dual_distance_status,
@@ -36,13 +37,12 @@ from .paths import (
     path_pair,
     paths_audit,
 )
-from .rng import SeedContract, XorShift64Star
-from .signal import SignalMatrix, char_map, sample_codewords
+from .rng import XorShift64Star
+from .signal import SignalMatrix, sample_codewords
 from .spectra import (
     SpectralSummary,
     center_scale,
     eig_hermitian,
-    esd,
     gram,
     ks_statistic,
     summarize,

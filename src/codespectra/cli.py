@@ -1,16 +1,23 @@
 """End-to-end experiments and artifact emission.
 
-Subcommands:
-  spectrum     ESD of the centered Gram matrix vs the semicircle law
-  mp           ESD of the raw Gram matrix vs Marchenko-Pastur
-  moments      trace-moment statistics of the centered matrix over repeats
+Each subcommand accepts the code selector (--code with --m, --n or --file),
+--out, and only the flags it reads:
+  spectrum     --p --seed --repeats --bins --lmax
+               ESD of the centered Gram matrix vs the semicircle law
+  mp           --y --mode --seed --repeats --bins --lmax
+               ESD of the raw Gram matrix vs Marchenko-Pastur
+  moments      --p --seed --repeats --lmax
+               trace-moment statistics of the centered matrix over repeats
   code-info    structural code report (dual distance, weights, coherence)
-  paths-audit  exact audit of the closed-walk counting identities
+  paths-audit  --lmax
+               exact audit of the closed-walk counting identities
 
-Every emitted JSON embeds the resolved config and sha256 checksums of the
-artifact files, so identical (config, seed) runs are byte-comparable.
-Exit codes: 0 ok, 2 parameter error, 3 resource (budget) error, 4 an
-internal contract or convergence failure (see errors.py).
+Defaults live in ExperimentConfig alone.  Every emitted JSON embeds the
+resolved config and sha256 checksums of the artifact files, so identical
+(config, seed) runs are byte-comparable.
+Exit codes: 0 ok, 2 parameter error (an argparse usage error included), 3
+resource (budget) error, 4 an internal contract or convergence failure (see
+errors.py).
 """
 
 from __future__ import annotations
@@ -37,10 +44,14 @@ from .spectra import summarize
 from .svg import render_histogram_svg
 
 MOMENT_BOUND_MULTIPLIER = 3.0  # converts the unconstanted error scale into a gate
+# Highest --lmax of spectrum, mp and moments: far higher powers of the
+# eigenvalues overflow to inf, which JSON cannot hold.
+MAX_MOMENT_ORDER = 12
 # Bytes one repeat of spectrum, mp or moments may allocate, checked before
-# sampling.  Estimated from tracemalloc peaks: 4 float64 p x n arrays for the
-# sample (6 for complex q > 2), 5 float64 copies of the p x p Gram (of its
-# 2p x 2p real embedding for complex input), 400 bytes per histogram bin.
+# sampling.  Estimated from tracemalloc peaks: the int64 words and the rows
+# of the sample, 2.25 float64 p x n arrays (3.5 for complex q > 2), 5 float64
+# copies of the p x p Gram (of its 2p x 2p real embedding for complex input),
+# 400 bytes per histogram bin.
 REPEAT_BYTES_BUDGET = 1 << 30
 
 
@@ -62,42 +73,31 @@ class ExperimentConfig:
 
 
 def resolve_code(cfg: ExperimentConfig) -> LinearCode:
-    if cfg.code == "gold":
-        if cfg.m is None:
-            raise ParameterError("gold code needs --m")
-        return make_gold(cfg.m)
-    if cfg.code == "rm1":
-        if cfg.m is None:
-            raise ParameterError("rm1 code needs --m")
-        return make_rm1(cfg.m)
-    if cfg.code == "even":
-        if cfg.n is None:
-            raise ParameterError("even-weight code needs --n")
-        return make_even_weight(cfg.n)
-    if cfg.code == "file":
-        if cfg.file is None:
-            raise ParameterError("file code needs --file")
-        try:
-            return load_generator(cfg.file)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParameterError(f"cannot read --file {cfg.file}: {exc}") from None
-    raise ParameterError(f"unknown code selector: {cfg.code!r}")
+    # Built per call: the constructors are looked up as this module's
+    # attributes when the command runs, so wrappers patched onto them apply.
+    selectors = {
+        "gold": (make_gold, "m"),
+        "rm1": (make_rm1, "m"),
+        "even": (make_even_weight, "n"),
+        "file": (load_generator, "file"),
+    }
+    if cfg.code not in selectors:
+        raise ParameterError(f"unknown code selector: {cfg.code!r}")
+    make, flag = selectors[cfg.code]
+    for other in ("m", "n", "file"):
+        if other != flag and getattr(cfg, other) is not None:
+            raise ParameterError(f"--code {cfg.code} does not read --{other}")
+    value = getattr(cfg, flag)
+    if value is None:
+        raise ParameterError(f"--code {cfg.code} needs --{flag}")
+    try:
+        return make(value)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read --file {value}: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_eigs_csv(path: Path, eigs) -> None:
-    lines = ["lambda"] + [f"{x:.17g}" for x in eigs]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_hist_csv(path: Path, edges, densities) -> None:
-    lines = ["bin_left,bin_right,density"]
-    for left, right, dens in zip(edges[:-1], edges[1:], densities):
-        lines.append(f"{left:.17g},{right:.17g},{dens:.17g}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _histogram(eigs: np.ndarray, bins: int, law: LawSpec):
@@ -117,15 +117,25 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _finish(summary: dict, out_dir: Path, name: str) -> dict:
-    target = out_dir / name
+def _finish(cfg: ExperimentConfig, name: str, fields: dict) -> dict:
+    """Add the config (and empty artifacts unless given) and write the JSON."""
+    summary = {"config": asdict(cfg), "artifacts": {}, **fields}
+    target = _out_dir(cfg) / name
     target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
-def _check_repeat_bytes(code: LinearCode, p: int, bins: int) -> None:
+def _check_sampling(cfg: ExperimentConfig, code: LinearCode, p: int, bins: int,
+                    min_repeats: int = 1) -> None:
+    """Refuse a sampling command's inputs before any sample or directory."""
+    if cfg.repeats < min_repeats:
+        raise ParameterError(
+            f"{cfg.command} needs --repeats >= {min_repeats}, got {cfg.repeats}")
+    if not 1 <= cfg.lmax <= MAX_MOMENT_ORDER:
+        raise ParameterError(
+            f"need --lmax in [1, {MAX_MOMENT_ORDER}], got {cfg.lmax}")
     side = p if code.q == 2 else 2 * p
-    need = p * code.n * (32 if code.q == 2 else 48) + 40 * side**2 + 400 * bins
+    need = p * code.n * (18 if code.q == 2 else 28) + 40 * side**2 + 400 * bins
     if need > REPEAT_BYTES_BUDGET:
         raise ResourceError(
             f"one repeat at p={p}, n={code.n}, bins={bins} needs about {need} "
@@ -137,11 +147,9 @@ def _run_esd_experiment(
     cfg: ExperimentConfig, code: LinearCode, p: int, law: LawSpec,
     mode: str, centered: bool,
 ) -> dict:
-    if cfg.repeats < 1:
-        raise ParameterError(f"need --repeats >= 1, got {cfg.repeats}")
     if cfg.bins < 1:
         raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
-    _check_repeat_bytes(code, p, cfg.bins)
+    _check_sampling(cfg, code, p, cfg.bins)
     out_dir = _out_dir(cfg)
     per_repeat = []
     artifacts: dict[str, str] = {}
@@ -151,10 +159,12 @@ def _run_esd_experiment(
         eigs = np.array(summary.eigenvalues)
 
         eig_path = out_dir / f"eigs_r{r:02d}.csv"
-        _write_eigs_csv(eig_path, eigs)
+        np.savetxt(eig_path, eigs, fmt="%.17g", header="lambda", comments="")
         edges, dens = _histogram(eigs, cfg.bins, law)
         hist_path = out_dir / f"hist_r{r:02d}.csv"
-        _write_hist_csv(hist_path, edges, dens)
+        np.savetxt(hist_path, np.column_stack([edges[:-1], edges[1:], dens]),
+                   fmt="%.17g", delimiter=",", header="bin_left,bin_right,density",
+                   comments="")
         svg_path = out_dir / f"esd_r{r:02d}.svg"
         title = (f"{code.label}  p={p}  law={law.kind}"
                  + (f"(y={law.y:g})" if law.y is not None else ""))
@@ -171,7 +181,6 @@ def _run_esd_experiment(
         })
     ks_values = [r["ks"] for r in per_repeat]
     return {
-        "config": asdict(cfg),
         "code": {"label": code.label, "n": code.n, "k": code.k, "N": code.N},
         "p": p,
         "law": {"kind": law.kind, "y": law.y},
@@ -187,13 +196,10 @@ def cmd_spectrum(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     if cfg.p is None:
         raise ParameterError("spectrum needs --p")
-    mode = cfg.mode or MODE_DISTINCT
-    if mode != MODE_DISTINCT:
-        raise ParameterError("the semicircle experiment requires distinct sampling")
-    summary = _run_esd_experiment(
-        cfg, code, cfg.p, LawSpec("sc"), mode, centered=True
+    fields = _run_esd_experiment(
+        cfg, code, cfg.p, LawSpec("sc"), MODE_DISTINCT, centered=True
     )
-    return _finish(summary, Path(cfg.out), "summary.json")
+    return _finish(cfg, "summary.json", fields)
 
 
 def cmd_mp(cfg: ExperimentConfig) -> dict:
@@ -205,27 +211,20 @@ def cmd_mp(cfg: ExperimentConfig) -> dict:
     if p < 2:
         raise ParameterError(f"round(y*n) = {p} is too small")
     mode = cfg.mode or MODE_WITH_REPLACEMENT
-    summary = _run_esd_experiment(cfg, code, p, law, mode, centered=False)
+    fields = _run_esd_experiment(cfg, code, p, law, mode, centered=False)
     if mode == MODE_DISTINCT:
-        summary["warning"] = (
+        fields["warning"] = (
             "distinct sampling differs from the with-replacement setting "
             "of the Marchenko-Pastur reference"
         )
-    return _finish(summary, Path(cfg.out), "summary.json")
+    return _finish(cfg, "summary.json", fields)
 
 
 def cmd_moments(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     if cfg.p is None:
         raise ParameterError("moments needs --p")
-    if cfg.lmax > 12:
-        raise ParameterError("moments supports --lmax up to 12")
-    if cfg.repeats < 2:
-        raise ParameterError("moments needs at least 2 repeats")
-    mode = cfg.mode or MODE_DISTINCT
-    if mode != MODE_DISTINCT:
-        raise ParameterError("moment statistics use distinct sampling")
-    _check_repeat_bytes(code, cfg.p, bins=0)
+    _check_sampling(cfg, code, cfg.p, bins=0, min_repeats=2)
 
     report = code_report(code)
     c = report.coherence_constant
@@ -234,7 +233,7 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
 
     samples: dict[int, list[float]] = {ell: [] for ell in range(1, cfg.lmax + 1)}
     for r in range(cfg.repeats):
-        sig = sample_codewords(code, p, mode, cfg.seed, stream_index=r)
+        sig = sample_codewords(code, p, MODE_DISTINCT, cfg.seed, stream_index=r)
         summary = summarize(sig, law, centered=True, ell_max=cfg.lmax)
         for ell, a in summary.moments:
             samples[ell].append(a)
@@ -261,49 +260,50 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
             "within_bound": abs(mean - reference) <= bound,
         })
 
-    out_dir = _out_dir(cfg)
-    summary = {
-        "config": asdict(cfg),
+    return _finish(cfg, "moments.json", {
         "code": {"label": code.label, "n": n, "k": code.k, "N": big_n},
         "code_report": asdict(report),
         "multiplier": MOMENT_BOUND_MULTIPLIER,
         "per_l": per_l,
-        "artifacts": {},
-    }
-    return _finish(summary, out_dir, "moments.json")
+    })
 
 
 def cmd_code_info(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     report = code_report(code)
-    out_dir = _out_dir(cfg)
-    summary = {
-        "config": asdict(cfg),
-        "label": code.label,
-        "report": asdict(report),
-        "artifacts": {},
-    }
-    return _finish(summary, out_dir, "code_info.json")
+    return _finish(cfg, "code_info.json",
+                   {"label": code.label, "report": asdict(report)})
 
 
 def cmd_paths_audit(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
-    audit = paths_audit(code, cfg.lmax)
-    out_dir = _out_dir(cfg)
-    summary = {
-        "config": asdict(cfg),
-        "audit": audit,
-        "artifacts": {},
-    }
-    return _finish(summary, out_dir, "paths_audit.json")
+    return _finish(cfg, "paths_audit.json", {"audit": paths_audit(code, cfg.lmax)})
 
 
+# argparse keywords of every flag; ExperimentConfig holds the defaults.
+_FLAGS = {
+    "code": {"choices": ["gold", "rm1", "even", "file"]},
+    "m": {"type": int},
+    "n": {"type": int},
+    "file": {},
+    "out": {},
+    "p": {"type": int},
+    "y": {"type": float},
+    "mode": {"choices": [MODE_DISTINCT, MODE_WITH_REPLACEMENT]},
+    "seed": {"type": int},
+    "repeats": {"type": int},
+    "bins": {"type": int},
+    "lmax": {"type": int, "help": f"max trace-moment order, 1 to {MAX_MOMENT_ORDER}; "
+                                  "walk length for paths-audit"},
+}
+_EVERY_COMMAND_FLAGS = ("code", "m", "n", "file", "out")
+# Each subcommand: its function and the flags it reads besides those above.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "mp": cmd_mp,
-    "moments": cmd_moments,
-    "code-info": cmd_code_info,
-    "paths-audit": cmd_paths_audit,
+    "spectrum": (cmd_spectrum, ("p", "seed", "repeats", "bins", "lmax")),
+    "mp": (cmd_mp, ("y", "mode", "seed", "repeats", "bins", "lmax")),
+    "moments": (cmd_moments, ("p", "seed", "repeats", "lmax")),
+    "code-info": (cmd_code_info, ()),
+    "paths-audit": (cmd_paths_audit, ("lmax",)),
 }
 
 
@@ -313,31 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral experiments on matrices built from linear codes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--code", default="gold",
-                       choices=["gold", "rm1", "even", "file"])
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--file", default=None)
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--y", type=float, default=None)
-        p.add_argument("--mode", default=None,
-                       choices=[MODE_DISTINCT, MODE_WITH_REPLACEMENT])
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--repeats", type=int, default=10)
-        p.add_argument("--bins", type=int, default=40)
-        p.add_argument("--lmax", type=int, default=6,
-                       help="max trace-moment order; walk length for paths-audit")
-        p.add_argument("--out", default="out")
+    for name, (_, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in _EVERY_COMMAND_FLAGS + flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = ExperimentConfig(**vars(args))
     try:
-        result = _COMMANDS[cfg.command](cfg)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error argparse printed (2)
+        return exc.code
+    cfg = ExperimentConfig(**vars(args))
+    run, _ = _COMMANDS[cfg.command]
+    try:
+        result = run(cfg)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

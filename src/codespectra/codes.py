@@ -214,7 +214,28 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
         rest, digits[:, i] = np.divmod(rest, q)
     if rest.any():
         raise ParameterError(f"message index beyond the N = {code.N} codewords")
-    return digits @ code.generator % code.q
+    words = digits @ code.generator
+    return np.remainder(words, code.q, out=words)
+
+
+def char_map(word, q: int) -> np.ndarray:
+    """Component-wise additive character x -> exp(2*pi*i*x/q), real for q = 2
+    (0 -> +1, 1 -> -1).
+
+    Built in place in its one output array, so mapping p x n words holds
+    only the int64 words and the rows.
+    """
+    w = np.asarray(word, dtype=np.int64)
+    rows = np.empty(w.shape, dtype=np.float64 if q == 2 else np.complex128)
+    np.remainder(w, q, out=rows)
+    if q == 2:
+        rows *= -2
+        rows += 1
+    else:
+        rows *= 2j * np.pi
+        rows /= q
+        np.exp(rows, out=rows)
+    return rows
 
 
 def parse_generator(text: str, label: str = "file") -> LinearCode:
@@ -470,18 +491,11 @@ def _weights_from_messages(code, message_indices) -> tuple[set[int], float]:
     rows = max(1, _CHUNK_ENTRIES // code.n)
     for start in range(0, len(message_indices), rows):
         words = codewords(code, message_indices[start:start + rows])
-        w = np.count_nonzero(words, axis=1)
-        weights.update(int(x) for x in w)
-        if code.q == 2:
-            coherence = max(coherence, float(np.abs(code.n - 2.0 * w).max()))
-        else:
-            sums = np.exp(2j * np.pi * words / code.q).sum(axis=1)
-            coherence = max(coherence, float(np.abs(sums).max()))
+        weights.update(int(x) for x in np.count_nonzero(words, axis=1))
+        sums = char_map(words, code.q).sum(axis=1)
+        coherence = max(coherence, float(np.abs(sums).max()))
     return weights, coherence
 
 
 def _pack_row(row: np.ndarray) -> int:
-    v = 0
-    for t in np.flatnonzero(row):
-        v |= 1 << int(t)
-    return v
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")

@@ -57,9 +57,8 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .codes import LinearCode, codewords, pack_columns
+from .codes import LinearCode, char_map, codewords, pack_columns
 from .errors import ParameterError, ResourceError
-from .signal import char_map
 
 MAX_LENGTH = 10
 # Column-side budget on n^(number of steps): n^l for a walk, n^(2l) for a

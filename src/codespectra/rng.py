@@ -9,8 +9,6 @@ identical byte-for-byte output on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
@@ -19,24 +17,13 @@ _PHI64 = 0x9E3779B97F4A7C15  # odd constant for stream derivation
 _WARMUP = 8
 
 
-@dataclass(frozen=True)
-class SeedContract:
-    """Identifies one reproducible sample: a 64-bit seed plus repeat index."""
-
-    seed: int
-    stream_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < (1 << 64):
-            raise ParameterError("seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise ParameterError("stream index must be nonnegative")
-
-
 class XorShift64Star:
     def __init__(self, seed: int, stream_index: int = 0):
-        contract = SeedContract(seed, stream_index)
-        state = (contract.seed ^ ((contract.stream_index * _PHI64) & _MASK64)) & _MASK64
+        if not 0 <= seed < (1 << 64):
+            raise ParameterError("seed must be a 64-bit unsigned integer")
+        if stream_index < 0:
+            raise ParameterError("stream index must be nonnegative")
+        state = (seed ^ ((stream_index * _PHI64) & _MASK64)) & _MASK64
         if state == 0:
             state = _PHI64
         self._state = state

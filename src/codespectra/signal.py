@@ -1,9 +1,8 @@
-"""Character map, seeded codeword sampling, and the sampled signal matrix.
+"""Seeded codeword sampling and the sampled signal matrix.
 
-The additive character sends a symbol x in F_q to exp(2*pi*i*x/q); applied
-component-wise it turns codewords into unit-modulus rows.  Binary rows are
-stored as real +-1 so all downstream spectral work stays in real
-arithmetic when q = 2.
+Sampled codewords pass through the additive character (codes.char_map)
+into unit-modulus rows.  Binary rows are stored as real +-1 so all
+downstream spectral work stays in real arithmetic when q = 2.
 """
 
 from __future__ import annotations
@@ -12,20 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, codewords
+from .codes import LinearCode, char_map, codewords
 from .errors import ParameterError
 from .rng import XorShift64Star
 
 MODE_DISTINCT = "distinct"
 MODE_WITH_REPLACEMENT = "with_replacement"
-
-
-def char_map(word, q: int) -> np.ndarray:
-    """Component-wise additive character; for q = 2 this is 0 -> +1, 1 -> -1."""
-    w = np.asarray(word, dtype=np.int64) % q
-    if q == 2:
-        return 1.0 - 2.0 * w
-    return np.exp(2j * np.pi * w / q)
 
 
 @dataclass(frozen=True)

@@ -124,12 +124,6 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
     return _jacobi_real(h)
 
 
-def esd(eigs: np.ndarray, x: float) -> float:
-    """Empirical spectral distribution: fraction of eigenvalues <= x."""
-    eigs = np.asarray(eigs)
-    return float(np.searchsorted(eigs, x, side="right")) / eigs.size
-
-
 def ks_statistic(eigs: np.ndarray, law) -> float:
     """sup-norm distance between the ESD and a continuous law CDF.
 

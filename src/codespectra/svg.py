@@ -13,6 +13,7 @@ import numpy as np
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 45
+CURVE_POINTS = 256  # samples of the law density along its support
 
 
 def _esc(text: str) -> str:
@@ -25,7 +26,6 @@ def render_histogram_svg(
     densities: np.ndarray,
     law,
     title: str,
-    curve_points: int = 256,
 ) -> None:
     bin_edges = np.asarray(bin_edges, dtype=float)
     densities = np.asarray(densities, dtype=float)
@@ -36,7 +36,7 @@ def render_histogram_svg(
     x_min -= pad
     x_max += pad
 
-    xs = np.linspace(lo_s, hi_s, curve_points)
+    xs = np.linspace(lo_s, hi_s, CURVE_POINTS)
     curve = np.array([law.pdf(float(x)) for x in xs])
     y_max = 1.1 * max(float(densities.max(initial=0.0)), float(curve.max()), 1e-9)
 

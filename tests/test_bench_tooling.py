@@ -39,3 +39,27 @@ def test_paths_audit_calls_traced_layers(monkeypatch):
         monkeypatch.setattr(paths, name, counted)
     paths.paths_audit(cs.make_even_weight(4), 3)
     assert set(calls) == {"count_W", "count_W_pair", "expect_omega"}
+
+
+def test_cli_calls_traced_layers(monkeypatch, tmp_path):
+    # the traced mode patches these cli attributes, so the commands must
+    # look them up there at call time
+    calls = {}
+    for name in ("make_gold", "sample_codewords", "summarize",
+                 "render_histogram_svg", "code_report", "paths_audit"):
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    common = {"code": "gold", "m": 5, "seed": 3}
+    cli.cmd_spectrum(cli.ExperimentConfig(
+        "spectrum", p=8, repeats=2, out=str(tmp_path / "s"), **common))
+    assert calls == {"make_gold": 1, "sample_codewords": 2, "summarize": 2,
+                     "render_histogram_svg": 2}
+    cli.cmd_moments(cli.ExperimentConfig(
+        "moments", p=8, repeats=2, lmax=2, out=str(tmp_path / "m"), **common))
+    cli.cmd_paths_audit(cli.ExperimentConfig(
+        "paths-audit", code="gold", m=5, lmax=2, out=str(tmp_path / "p")))
+    assert calls == {"make_gold": 3, "sample_codewords": 4, "summarize": 4,
+                     "render_histogram_svg": 2, "code_report": 1, "paths_audit": 1}

@@ -1,8 +1,12 @@
 import json
+import re
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codespectra import ContractViolationError, ConvergenceError, spectra
 from codespectra.cli import ExperimentConfig, cmd_code_info, cmd_moments, \
@@ -252,3 +256,87 @@ def test_contract_failure_exits_4(tmp_path, capsys, monkeypatch, error):
     assert rc == 4
     err = capsys.readouterr().err
     assert err == "contract error: injected failure\n"
+
+
+# The closed CLI contract: each subcommand accepts the code selector, --out
+# and exactly the flags it reads.
+SELECTOR_FLAGS = ("code", "m", "n", "file", "out")
+READS = {
+    "spectrum": ("p", "seed", "repeats", "bins", "lmax"),
+    "mp": ("y", "mode", "seed", "repeats", "bins", "lmax"),
+    "moments": ("p", "seed", "repeats", "lmax"),
+    "code-info": (),
+    "paths-audit": ("lmax",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_only_read_flags(capsys, command):
+    assert run_main([command, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z]+)", capsys.readouterr().out)) - {"help"}
+    assert listed == set(SELECTOR_FLAGS + READS[command])
+
+
+@pytest.mark.parametrize("argv", [
+    ["code-info", "--code", "gold", "--m", "5", "--p", "3"],
+    ["paths-audit", "--code", "gold", "--m", "5", "--seed", "3"],
+    ["moments", "--code", "gold", "--m", "5", "--p", "8", "--bins", "4"],
+    ["spectrum", "--code", "gold", "--m", "5", "--p", "8", "--mode", "distinct"],
+    ["code-info", "--code", "gold", "--m", "5", "--n", "7"],
+    ["spectrum", "--code", "gold", "--m", "5", "--p", "8", "--lmax", "13"],
+], ids=["code-info-p", "paths-audit-seed", "moments-bins", "spectrum-mode",
+        "gold-n", "spectrum-lmax-13"])
+def test_unread_flag_exits_2_before_output(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run_main(argv + ["--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (valid, invalid) code selectors and flag values: small, zero, negative
+# and too-large integers.  --repeats stays small because each repeat is
+# real work.
+FUZZ_CODES = (
+    [["--code", "gold", "--m", "5"], ["--code", "rm1", "--m", "3"],
+     ["--code", "even", "--n", "4"]],
+    [["--code", "gold", "--m", "4"], ["--code", "even", "--m", "5"],
+     ["--code", "rm1"]],
+)
+FUZZ_VALUES = {
+    "p": ([2, 5, 8], [-1, 0, 17, 10**6]),
+    "y": ([0.25, 0.5], [-0.5, 0.0, 1.0, float("nan")]),
+    "mode": (["distinct", "with_replacement"], []),
+    "seed": ([0, 7], [-1, 2**64]),
+    "repeats": ([2, 3], [-1, 0, 1]),
+    "bins": ([1, 5], [-1, 0, 10**9]),
+    "lmax": ([1, 3], [-1, 0, 13]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    def pick(choices):  # the invalid ones one time in five
+        valid, invalid = choices
+        return draw(st.sampled_from(invalid if invalid and draw(
+            st.integers(0, 4)) == 0 else valid))
+
+    command = draw(st.sampled_from(sorted(READS)))
+    reads = READS[command]
+    flags = [flag for flag in reads if draw(st.integers(0, 3))]  # 3 in 4 kept
+    unread = sorted(set(FUZZ_VALUES) - set(reads))
+    extra = draw(st.sampled_from(unread)) if draw(st.integers(0, 3)) == 0 else None
+    argv = [command] + pick(FUZZ_CODES)
+    for flag in flags + ([extra] if extra else []):
+        argv += [f"--{flag}", str(pick(FUZZ_VALUES[flag]))]
+    return argv, extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_exit_codes(argv_extra):
+    argv, extra = argv_extra
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = run_main(argv + ["--out", str(Path(tmp) / "x")])
+    assert rc in (0, 2, 3, 4)
+    if extra:
+        assert rc == 2

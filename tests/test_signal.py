@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,29 @@ def test_char_map_binary():
 def test_char_map_ternary():
     out = cs.char_map(np.array([1]), 3)
     assert out[0] == pytest.approx(np.exp(2j * np.pi / 3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_char_map_matches_direct_formula(q):
+    # the in-place map gives the bits of the direct expressions
+    w = np.random.default_rng(q).integers(-50, 50, (40, 60))
+    direct = 1.0 - 2.0 * (w % 2) if q == 2 else np.exp(2j * np.pi * (w % q) / q)
+    assert cs.char_map(w, q).tobytes() == direct.tobytes()
+
+
+def test_sampling_peak_memory():
+    # the int64 words and the character rows are the only p x n arrays
+    # alive at once (cli.REPEAT_BYTES_BUDGET counts on these factors)
+    tern = cs.LinearCode(q=3, generator=np.hstack([
+        np.eye(6, dtype=int), np.random.default_rng(0).integers(0, 3, (6, 294))]))
+    for code, p, factor in ((cs.make_gold(11), 50, 2.25), (tern, 200, 3.5)):
+        tracemalloc.start()
+        try:
+            cs.sample_codewords(code, p, MODE_DISTINCT, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= factor * p * code.n * 8, code.label
 
 
 def test_char_map_self_inner_product(even5):

@@ -107,13 +107,6 @@ def test_eig_convergence_failure_is_loud(monkeypatch):
         cs.eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def test_esd_examples():
-    eigs = np.array([-1.0, 0.0, 1.0])
-    assert cs.esd(eigs, -2.0) == 0.0
-    assert cs.esd(eigs, 1.0) == 1.0
-    assert cs.esd(eigs, 0.0) == pytest.approx(2 / 3)
-
-
 def test_ks_single_eigenvalue_against_semicircle():
     assert cs.ks_statistic(np.array([0.0]), LawSpec("sc")) == pytest.approx(0.5)
 
