@@ -125,9 +125,16 @@ def _finish(cfg: ExperimentConfig, name: str, fields: dict) -> dict:
     return summary
 
 
-def _check_sampling(cfg: ExperimentConfig, code: LinearCode, p: int, bins: int,
-                    min_repeats: int = 1) -> None:
+def _check_sampling(cfg: ExperimentConfig, code: LinearCode, p: int, mode: str,
+                    bins: int, min_repeats: int = 1) -> None:
     """Refuse a sampling command's inputs before any sample or directory."""
+    if p < 1:
+        raise ParameterError(f"need p >= 1, got {p}")
+    if mode == MODE_DISTINCT and p > code.N:
+        raise ParameterError(f"cannot draw {p} distinct codewords from {code.N}")
+    if code.N > 1 << 64:
+        raise ParameterError(f"cannot draw from N = {code.N} codewords with "
+                             "64-bit message indices")
     if cfg.repeats < min_repeats:
         raise ParameterError(
             f"{cfg.command} needs --repeats >= {min_repeats}, got {cfg.repeats}")
@@ -149,7 +156,7 @@ def _run_esd_experiment(
 ) -> dict:
     if cfg.bins < 1:
         raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
-    _check_sampling(cfg, code, p, cfg.bins)
+    _check_sampling(cfg, code, p, mode, cfg.bins)
     out_dir = _out_dir(cfg)
     per_repeat = []
     artifacts: dict[str, str] = {}
@@ -224,7 +231,7 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
     code = resolve_code(cfg)
     if cfg.p is None:
         raise ParameterError("moments needs --p")
-    _check_sampling(cfg, code, cfg.p, bins=0, min_repeats=2)
+    _check_sampling(cfg, code, cfg.p, MODE_DISTINCT, bins=0, min_repeats=2)
 
     report = code_report(code)
     c = report.coherence_constant

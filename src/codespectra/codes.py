@@ -43,6 +43,10 @@ PAIR_BUDGET = 1 << 23
 WITNESS_BUDGET_5 = 10**8
 RANK_STEP_BUDGET = 4 * 10**6
 
+# Largest int64 generator make_rm1 and make_even_weight build, in bytes,
+# checked before allocating: even-weight n <= 4096, RM(1) m <= 19.
+GENERATOR_BYTES_BUDGET = 1 << 27
+
 EXHAUSTIVE_LIMIT_DEFAULT = 1 << 20
 # Sampled and non-binary weight reports decode codewords in chunks of at
 # most this many entries (rows x n): 512 kB per int64 chunk, whatever n is.
@@ -160,6 +164,12 @@ def make_rm1(m: int) -> LinearCode:
     """First-order Reed-Muller code [2^m, m+1]; its dual distance is 4."""
     if m < 3:
         raise ParameterError(f"Reed-Muller construction needs m >= 3, got {m}")
+    # 8 (m + 1) 2^m bytes, compared without building 2^m for a huge m
+    if m + 1 > GENERATOR_BYTES_BUDGET >> (m + 3):
+        raise ResourceError(
+            f"the RM(1) generator for m={m} needs 8 (m+1) 2^m bytes, over the "
+            f"budget of {GENERATOR_BYTES_BUDGET}"
+        )
     n = 1 << m
     t = np.arange(n)
     gen = np.empty((m + 1, n), dtype=np.int64)
@@ -179,6 +189,11 @@ def make_even_weight(n: int) -> LinearCode:
     """All even-weight words of length n; dual is the repetition code."""
     if n < 3:
         raise ParameterError(f"even-weight code needs n >= 3, got {n}")
+    if 8 * (n - 1) * n > GENERATOR_BYTES_BUDGET:
+        raise ResourceError(
+            f"the even-weight generator for n={n} needs {8 * (n - 1) * n} "
+            f"bytes, over the budget of {GENERATOR_BYTES_BUDGET}"
+        )
     gen = np.hstack([np.eye(n - 1, dtype=np.int64),
                      np.ones((n - 1, 1), dtype=np.int64)])
     return LinearCode(

@@ -10,11 +10,17 @@ that identity independently and compares them.
 Column side (W, W_pair): `_vertex_equations` writes each vertex's
 column-sum equation as {variable: coefficient mod q}, dropping the
 variables whose coefficients cancel.  A pair's system is its two walks'
-systems glued on their shared vertices, the second walk negated.  Each
-equation becomes a 0/1 tensor over its variables, with entry 1 where the
-weighted column sum vanishes mod q (for binary codes, where the XOR of the
-packed columns is 0).  W is the int32 contraction of these tensors, times
-n for every variable that no equation constrains; `_count_solutions`
+systems glued on their shared vertices, the second walk negated.  Any one
+equation follows from the others, and `_count_solutions` leaves one out.
+Every equation's coefficients sum to 0 mod q, so when the code's columns
+are pairwise distinct (checked once per `AuditOperands`), `_eliminate`
+reads each degree-2 equation c (g[t_a] - g[t_b]) = 0 as t_a = t_b and
+substitutes t_a for t_b.  That keeps the solution set of the equations
+kept, so the one left out still follows from them.  Each equation left
+becomes a 0/1 tensor over its variables, with entry 1 where the weighted
+column sum vanishes mod q (for binary codes, where the XOR of the packed
+columns is 0).  W is the int32 contraction of these tensors, times n for
+every variable neither substituted nor constrained; `_count_solutions`
 refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
 `_contract` folds the tensors in vertex-label order, summing a variable
 out once no later tensor carries it.  The tensors come from the audit's
@@ -53,6 +59,7 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial, perm
 
 import numpy as np
@@ -256,13 +263,15 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
 class AuditOperands:
     """Code-dependent operands shared by every count and expectation of one
     audit, each built on first use: the vertex tensors, keyed by canonical
-    coefficients; the codeword Gram row K[0, :] and matrix K; and the
+    coefficients, and each equation's operand; whether the columns allow
+    elimination; the codeword Gram row K[0, :] and matrix K; and the
     all-maps Gram sum of each walk.  count_W, count_W_pair and expect_omega
     take one as `operands`; without it, each call builds its own."""
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._tensors: dict[tuple[int, ...], np.ndarray] = {}
+        self._operands: dict[tuple, tuple[np.ndarray, list[int]]] = {}
         self._rows: np.ndarray | None = None
         self._first_row: np.ndarray | None = None
         self._gram: np.ndarray | None = None
@@ -275,18 +284,33 @@ class AuditOperands:
         leaves its solutions unchanged.  Each equation is therefore written
         with the smallest sorted coefficient tuple among its scalings, and
         equations with the same tuple share one tensor: a binary code has at
-        most one tensor per degree.
+        most one tensor per degree.  The result is kept per equation.
         """
-        q = self.code.q
-        terms = min(
-            (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
-             for unit in set(eq.values())),
-            key=lambda ts: [c for c, _ in ts],
-        )
-        coeffs = tuple(c for c, _ in terms)
-        if coeffs not in self._tensors:
-            self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
-        return self._tensors[coeffs], [var for _, var in terms]
+        key = tuple(eq.items())
+        if key not in self._operands:
+            q = self.code.q
+            terms = min(
+                (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
+                 for unit in set(eq.values())),
+                key=lambda ts: [c for c, _ in ts],
+            )
+            coeffs = tuple(c for c, _ in terms)
+            if coeffs not in self._tensors:
+                self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
+            self._operands[key] = (self._tensors[coeffs], [var for _, var in terms])
+        return self._operands[key]
+
+    @cached_property
+    def eliminates(self) -> bool:
+        """Whether the columns are pairwise distinct, the precondition of
+        `_eliminate`.  Binary columns are compared packed; a Python set, not
+        np.unique, which would import numpy.ma (0.8 MB of resident memory)."""
+        code = self.code
+        if code.q == 2:
+            cols = pack_columns(code).tolist()
+        else:
+            cols = [tuple(col) for col in code.generator.T.tolist()]
+        return len(set(cols)) == code.n
 
     def all_maps_sum(self, labels: tuple[int, ...]):
         """Sum over all maps f from the vertices of the connected closed walk
@@ -386,13 +410,36 @@ def _contract(terms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
     return acc
 
 
+def _eliminate(equations: list[dict[int, int]], q: int) -> int:
+    """Solve away, in place, the equations of degree at most 2 over pairwise
+    distinct columns; returns the number of variables substituted.  Each
+    step adds +1 and -1 to one equation, and substitution keeps every
+    equation's coefficient sum at 0 mod q, so no equation has degree 1 and
+    one of degree 2 is c (g[t_a] - g[t_b]) = 0, that is t_a = t_b."""
+    substituted = 0
+    while short := [j for j, eq in enumerate(equations) if len(eq) < 3]:
+        eq = equations.pop(short[0])
+        if eq:
+            (a, _), (b, _) = eq.items()
+            substituted += 1
+            for other in equations:
+                if b in other:
+                    c = (other.pop(b) + other.get(a, 0)) % q
+                    if c:
+                        other[a] = c
+                    else:
+                        del other[a]
+    return substituted
+
+
 def _count_solutions(
     code: LinearCode, walks, drop_vertex: int | None, operands: AuditOperands
 ) -> int:
     """Exact number of column-index tuples, one index per step of `walks`,
-    that solve every vertex equation: the `_contract` fold of the vertex
-    tensors in vertex-label order, leaving out the equation at
-    `drop_vertex` or, by default, the widest.
+    that solve every vertex equation, leaving out the equation at
+    `drop_vertex` or, by default, the widest: `_eliminate` where the
+    operands allow it, then the `_contract` fold of the vertex tensors of
+    the equations left, in vertex-label order.
 
     Every term and every intermediate of the fold is a count of at most
     n^(number of steps), which COUNT_BUDGET keeps within int32.
@@ -406,15 +453,12 @@ def _count_solutions(
     equations = _vertex_equations(walks, code.q)
     if drop_vertex is None:
         drop_vertex = 1 + max(range(len(equations)), key=lambda a: len(equations[a]))
-    terms: list = []
-    constrained: set[int] = set()
-    for a, eq in enumerate(equations, start=1):
-        if a == drop_vertex or not eq:
-            continue
-        tensor, live = operands.vertex_operand(eq)
-        terms.append((tensor, live))
-        constrained.update(live)
-    free = code.n ** (steps - len(constrained))
+    equations = [eq for a, eq in enumerate(equations, start=1)
+                 if eq and a != drop_vertex]
+    substituted = _eliminate(equations, code.q) if operands.eliminates else 0
+    terms = [operands.vertex_operand(eq) for eq in equations]
+    constrained = {var for _, live in terms for var in live}
+    free = code.n ** (steps - substituted - len(constrained))
     if not terms:
         return free
     return int(_contract(terms)) * free
@@ -550,13 +594,14 @@ def paths_audit(code: LinearCode, length: int) -> dict:
         # solutions, so each count is computed once for a pair and its swap.
         pair_w: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for pair in pair_list:
+            # Both walks' canonical labels are prefixes of joint ones.
             swap = canonical_labels(pair.labels2 + pair.labels1)
-            wp = pair_w.get((swap[:len(pair.labels2)], swap[len(pair.labels2):]))
+            labels2 = swap[:length + 1]
+            wp = pair_w.get((labels2, swap[length + 1:]))
             if wp is None:
                 wp = count_W_pair(code, pair, operands=operands)
             pair_w[pair.labels1, pair.labels2] = wp
-            w1 = w_of[canonical_labels(pair.labels1)]
-            w2 = w_of[canonical_labels(pair.labels2)]
+            w1, w2 = w_of[pair.labels1], w_of[labels2]
             pair_records.append({
                 "labels1": list(pair.labels1),
                 "labels2": list(pair.labels2),

@@ -29,16 +29,32 @@ def test_traced_names_exist(monkeypatch):
 
 def test_paths_audit_calls_traced_layers(monkeypatch):
     # the traced mode times count_W, count_W_pair and expect_omega by
-    # patching the module attributes, so paths_audit must call them there
+    # patching the module attributes, so paths_audit must call them there;
+    # the call counts are the walk_audit workload's per-layer .calls, and
+    # the elimination must run inside the count spans
     calls = {}
+    depth = [0]
     for name in ("count_W", "count_W_pair", "expect_omega"):
         def counted(*args, _name=name, _fn=getattr(paths, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
+            depth[0] += 1
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(paths, name, counted)
-    paths.paths_audit(cs.make_even_weight(4), 3)
-    assert set(calls) == {"count_W", "count_W_pair", "expect_omega"}
+    eliminate = paths._eliminate
+
+    def inside_a_count(*args):
+        assert depth[0] == 1
+        calls["_eliminate"] = calls.get("_eliminate", 0) + 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(paths, "_eliminate", inside_a_count)
+    paths.paths_audit(cs.make_even_weight(4), 4)
+    assert calls == {"count_W": 15, "count_W_pair": 425, "expect_omega": 30,
+                     "_eliminate": 15 + 425}
 
 
 def test_cli_calls_traced_layers(monkeypatch, tmp_path):

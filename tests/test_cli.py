@@ -199,7 +199,11 @@ def test_paths_audit_command(tmp_path):
     ["spectrum", "--code", "even", "--n", "30", "--p", "60000", "--repeats", "1"],
     ["spectrum", "--code", "even", "--n", "5", "--p", "8", "--bins", "1000000000"],
     ["moments", "--code", "even", "--n", "30", "--p", "60000", "--repeats", "2"],
-], ids=["paths-audit", "spectrum-p", "spectrum-bins", "moments-p"])
+    # generators of 360 TB and 80 GB are refused before they are allocated
+    ["code-info", "--code", "rm1", "--m", "40"],
+    ["code-info", "--code", "even", "--n", "100000"],
+], ids=["paths-audit", "spectrum-p", "spectrum-bins", "moments-p", "rm1-m40",
+        "even-n100000"])
 def test_resource_error_exits_3(tmp_path, capsys, argv):
     assert run_main(argv + ["--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
@@ -228,6 +232,12 @@ def test_unknown_code_selector_exit_code(tmp_path):
     # N = 2^69 codewords: more than a 64-bit draw can index
     ["spectrum", "--code", "even", "--n", "70", "--p", "8", "--repeats", "1"],
     ["code-info", "--code", "even", "--n", "5", "--out", "{tmp}/header.txt/x"],
+    ["spectrum", "--code", "even", "--n", "5", "--p", "17"],  # p > N = 16
+    ["spectrum", "--code", "even", "--n", "5", "--p", "0"],
+    ["moments", "--code", "even", "--n", "5", "--p", "17", "--repeats", "2"],
+    # round(y n) = 4 distinct codewords of a [5, 1] code's 2
+    ["mp", "--code", "file", "--file", "{tmp}/rep5.txt", "--y", "0.8",
+     "--mode", "distinct"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "header.txt").write_text("2 four 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
@@ -238,11 +248,13 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     tern = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
     (tmp_path / "tern42.txt").write_text(
         "3 42 41\n" + "\n".join(" ".join(map(str, row)) for row in tern) + "\n")
+    (tmp_path / "rep5.txt").write_text("2 5 1\n1 1 1 1 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "x")]
     assert run_main(argv) == 2
     assert capsys.readouterr().err.startswith("parameter error:")
+    assert not (tmp_path / "x").exists()  # refused before any output
 
 
 @pytest.mark.parametrize("error", [ContractViolationError, ConvergenceError])

@@ -77,19 +77,27 @@ TERNARY_6_3 = cs.LinearCode(q=3, generator=np.array(
     [[1, 0, 0, 1, 1, 2], [0, 1, 0, 1, 2, 1], [0, 0, 1, 2, 1, 1]]))
 
 
+# Column 3 is twice column 1, which elimination allows; a repeated column
+# does not.
+TERNARY_PROPORTIONAL = cs.LinearCode(q=3, generator=np.array(
+    [[1, 0, 2, 1], [0, 1, 0, 1]]))
+TERNARY_REPEATED = cs.LinearCode(q=3, generator=np.array(
+    [[1, 0, 1, 2], [0, 1, 0, 1]]))
+
+
 @st.composite
 def small_codes(draw):
-    """Binary [n, k] codes with n <= 4 in permuted systematic form (zero and
-    repeated columns included), or one fixed ternary [4, 2] code."""
-    if draw(st.integers(0, 4)) == 0:
-        return TERNARY
+    """[n, k] codes with n <= 4 in permuted systematic form, binary or, one
+    time in three, ternary; zero, repeated and proportional columns are
+    included, so counts run both with and without elimination."""
+    q = draw(st.sampled_from([2, 2, 3]))
     n = draw(st.integers(3, 4))
     k = draw(st.integers(1, n - 1))
-    extra = draw(st.lists(st.integers(0, 1), min_size=k * (n - k),
+    extra = draw(st.lists(st.integers(0, q - 1), min_size=k * (n - k),
                           max_size=k * (n - k)))
     gen = np.hstack([np.eye(k, dtype=int), np.array(extra).reshape(k, n - k)])
     order = draw(st.permutations(range(n)))
-    return cs.LinearCode(q=2, generator=gen[:, order])
+    return cs.LinearCode(q=q, generator=gen[:, order])
 
 
 def walk_labels(min_len, max_len):
@@ -180,6 +188,7 @@ def test_vertex_equations_cancel(q):
         assert len(equations) == max(map(max, walks))
         totals = {}
         for eq in equations:
+            assert sum(eq.values()) % q == 0  # _eliminate relies on this
             for var, c in eq.items():
                 assert 0 < c < q
                 totals[var] = totals.get(var, 0) + c
@@ -413,6 +422,31 @@ def test_vertex_tensors_are_shared_by_canonical_coefficients():
     assert len(degrees) == len(set(degrees))
 
 
+@pytest.mark.parametrize("q,gen,eliminates", [
+    (3, TERNARY.generator, True),
+    (3, TERNARY_PROPORTIONAL.generator, True),
+    (3, TERNARY_REPEATED.generator, False),
+    (3, [[1, 0, 0], [0, 1, 0]], True),  # one zero column is still distinct
+    (2, [[1, 0, 1], [0, 1, 1]], True),
+    (2, [[1, 0, 1], [0, 1, 0]], False),
+    (2, [[1, 0, 0, 0], [0, 1, 0, 0]], False),  # two zero columns
+])
+def test_elimination_needs_distinct_columns(q, gen, eliminates):
+    code = cs.LinearCode(q=q, generator=np.array(gen))
+    assert AuditOperands(code).eliminates == eliminates
+
+
+@pytest.mark.parametrize("code", [TERNARY, TERNARY_PROPORTIONAL, TERNARY_REPEATED],
+                         ids=["distinct", "proportional", "repeated"])
+def test_ternary_counts_match_oracle(code):
+    ops = AuditOperands(code)
+    for path in cs.enumerate_closed_classes(4, simple=False):
+        assert cs.count_W(code, path, operands=ops) == naive_count_w(code, path.labels)
+    for pair in cs.enumerate_pair_classes(3):
+        assert cs.count_W_pair(code, pair, operands=ops) == naive_count_w(
+            code, pair.labels1, pair.labels2)
+
+
 def test_operands_of_another_code_are_refused(even5, even7):
     with pytest.raises(ParameterError):
         cs.count_W(even5, cs.closed_path((1, 2, 1)), operands=AuditOperands(even7))
@@ -429,6 +463,8 @@ AUDIT_SHA256 = {
     ("gold", 5, 4): "89552fdb5c02fc58422ae523defb4384369862b610395242cafe35240f57deed",
     ("rm1", 3, 3): "23f3f8337745c2c6b0d16baa6505afab2cac4d181a4eee9d94f9f21f7d8f5a5d",
     ("even", 3, 6): "b7f791711fc5282220b13869bae63522cba632f4dae99d81a4ccee5d108d3635",
+    ("even", 5, 4): "ee725b1a7b9d42261bed7224032cdeab1a3b25ab944f827c009b6043146366a4",
+    ("rm1", 3, 4): "2b722086a8d272e67bf2f4f1473519dc43d0f598c28439f779ceb661bf64986c",
     ("tern", 4, 5): "e9e994157bb1750258a17973e61148667c7dcd17a6c8b4e853de3651ce446f93",
     ("tern", 6, 3): "5848a20f7207804bb227214fbcb4cc419249e5db9b3ab4d74e02f7fb39dd7b78",
 }
