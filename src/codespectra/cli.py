@@ -7,7 +7,8 @@ Each subcommand accepts the code selector (--code with --m, --n or --file),
   mp           --y --mode --seed --repeats --bins --lmax
                ESD of the raw Gram matrix vs Marchenko-Pastur
   moments      --p --seed --repeats --lmax
-               trace-moment statistics of the centered matrix over repeats
+               trace-moment statistics of the centered matrix over repeats,
+               from matrix products (no eigensolve, no KS)
   code-info    structural code report (dual distance, weights, coherence)
   paths-audit  --lmax
                exact audit of the closed-walk counting identities
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectra
 from .codes import LinearCode, code_report, load_generator, make_even_weight, \
     make_gold, make_rm1
 from .errors import ContractViolationError, ConvergenceError, ParameterError, \
@@ -44,14 +46,15 @@ from .spectra import summarize
 from .svg import render_histogram_svg
 
 MOMENT_BOUND_MULTIPLIER = 3.0  # converts the unconstanted error scale into a gate
-# Highest --lmax of spectrum, mp and moments: far higher powers of the
-# eigenvalues overflow to inf, which JSON cannot hold.
+# Highest --lmax of spectrum, mp and moments: far higher powers of H
+# overflow to inf, which JSON cannot hold.
 MAX_MOMENT_ORDER = 12
 # Bytes one repeat of spectrum, mp or moments may allocate, checked before
 # sampling.  Estimated from tracemalloc peaks: the int64 words and the rows
 # of the sample, 2.25 float64 p x n arrays (3.5 for complex q > 2), 5 float64
 # copies of the p x p Gram (of its 2p x 2p real embedding for complex input),
-# 400 bytes per histogram bin.
+# 400 bytes per histogram bin.  moments never eigensolves, so it holds no
+# 2p x 2p embedding, and the same estimate covers it with room to spare.
 REPEAT_BYTES_BUDGET = 1 << 30
 
 
@@ -238,11 +241,13 @@ def cmd_moments(cfg: ExperimentConfig) -> dict:
     n, p, big_n = code.n, cfg.p, code.N
     law = LawSpec("sc")
 
+    # A_l = tr(H^l)/p needs no eigenvalue and no KS distance.  The kernels
+    # are looked up on spectra when the command runs, so patched wrappers apply.
     samples: dict[int, list[float]] = {ell: [] for ell in range(1, cfg.lmax + 1)}
     for r in range(cfg.repeats):
         sig = sample_codewords(code, p, MODE_DISTINCT, cfg.seed, stream_index=r)
-        summary = summarize(sig, law, centered=True, ell_max=cfg.lmax)
-        for ell, a in summary.moments:
+        h = spectra.center_scale(spectra.gram(sig), n, p)
+        for ell, a in spectra.trace_moments(h, cfg.lmax):
             samples[ell].append(a)
 
     per_l = []

@@ -405,7 +405,11 @@ def _dual_distance_subsets(
 
 @dataclass(frozen=True)
 class CodeReport:
-    """Structural audit used by the spectral experiments."""
+    """Structural audit used by the spectral experiments.
+
+    `ratio_N_over_n` is None when N/n exceeds the float range, as it does
+    for the even-weight codes from n = 1036 on (N = 2^(n-1)).
+    """
 
     n: int
     k: int
@@ -415,7 +419,7 @@ class CodeReport:
     weight_set: tuple[int, ...]
     coherence: float
     coherence_constant: float
-    ratio_N_over_n: float
+    ratio_N_over_n: float | None
     certified: bool
     method: str
 
@@ -462,6 +466,10 @@ def code_report(
     else:
         weights, coherence = _weights_sampled(code)
 
+    try:
+        ratio = code.N / code.n
+    except OverflowError:
+        ratio = None
     return CodeReport(
         n=code.n,
         k=code.k,
@@ -471,7 +479,7 @@ def code_report(
         weight_set=tuple(sorted(weights)),
         coherence=float(coherence),
         coherence_constant=float(coherence) / sqrt(code.n),
-        ratio_N_over_n=code.N / code.n,
+        ratio_N_over_n=ratio,
         certified=method != "sampled",
         method=method,
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import codespectra as cs
 import codespectra.signal
-from codespectra import cli, laws, paths
+from codespectra import cli, laws, paths, spectra
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,25 +57,36 @@ def test_paths_audit_calls_traced_layers(monkeypatch):
                      "_eliminate": 15 + 425}
 
 
+def _count_calls(monkeypatch, module, names, calls):
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 def test_cli_calls_traced_layers(monkeypatch, tmp_path):
     # the traced mode patches these cli attributes, so the commands must
     # look them up there at call time
     calls = {}
-    for name in ("make_gold", "sample_codewords", "summarize",
-                 "render_histogram_svg", "code_report", "paths_audit"):
-        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(cli, name, counted)
+    _count_calls(monkeypatch, cli, ("make_gold", "sample_codewords", "summarize",
+                                    "render_histogram_svg", "code_report",
+                                    "paths_audit"), calls)
     common = {"code": "gold", "m": 5, "seed": 3}
     cli.cmd_spectrum(cli.ExperimentConfig(
         "spectrum", p=8, repeats=2, out=str(tmp_path / "s"), **common))
     assert calls == {"make_gold": 1, "sample_codewords": 2, "summarize": 2,
                      "render_histogram_svg": 2}
+    # moments calls the spectra kernels directly, where the traced mode
+    # patches them, and never eigensolves
+    kernels = {}
+    _count_calls(monkeypatch, spectra, ("gram", "center_scale", "trace_moments",
+                                        "eig_hermitian"), kernels)
     cli.cmd_moments(cli.ExperimentConfig(
         "moments", p=8, repeats=2, lmax=2, out=str(tmp_path / "m"), **common))
+    assert kernels == {"gram": 2, "center_scale": 2, "trace_moments": 2}
     cli.cmd_paths_audit(cli.ExperimentConfig(
         "paths-audit", code="gold", m=5, lmax=2, out=str(tmp_path / "p")))
-    assert calls == {"make_gold": 3, "sample_codewords": 4, "summarize": 4,
+    assert calls == {"make_gold": 3, "sample_codewords": 4, "summarize": 2,
                      "render_histogram_svg": 2, "code_report": 1, "paths_audit": 1}

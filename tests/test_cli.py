@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -8,9 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codespectra import ContractViolationError, ConvergenceError, spectra
+import codespectra
+from codespectra import ContractViolationError, ConvergenceError, make_gold, \
+    sample_codewords, spectra
 from codespectra.cli import ExperimentConfig, cmd_code_info, cmd_moments, \
     cmd_mp, cmd_paths_audit, cmd_spectrum, main
+from codespectra.signal import MODE_DISTINCT
 
 
 def run_main(argv):
@@ -126,6 +132,46 @@ def test_moments_validation(tmp_path):
                      "--lmax", "13", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_moments_never_eigensolves(tmp_path, monkeypatch):
+    # A_l = tr(H^l)/p comes from matrix products: no eigenvalue, no KS
+    def refuse(*args):
+        raise AssertionError("moments must not eigensolve")
+
+    monkeypatch.setattr(spectra, "eig_hermitian", refuse)
+    monkeypatch.setattr(spectra, "ks_statistic", refuse)
+    n, p, repeats, lmax = 31, 8, 3, 6
+    summary = cmd_moments(ExperimentConfig(
+        command="moments", code="gold", m=5, p=p, seed=9, repeats=repeats,
+        lmax=lmax, out=str(tmp_path / "m")))
+    samples = []
+    for r in range(repeats):
+        rows = sample_codewords(make_gold(5), p, MODE_DISTINCT, 9, stream_index=r).entries
+        h = np.sqrt(n / p) * (rows @ rows.T / n - np.eye(p))
+        samples.append([np.trace(np.linalg.matrix_power(h, ell)) / p
+                        for ell in range(1, lmax + 1)])
+    means = [rec["mean"] for rec in summary["per_l"]]
+    assert means == pytest.approx(np.mean(samples, axis=0), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m, p", [(11, 50), (13, 200)])
+def test_moments_reproducible_across_blas_threads(tmp_path, m, p):
+    # the products behind tr(H^l) must not depend on how BLAS splits them
+    src = Path(codespectra.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "codespectra", "moments", "--code",
+                        "gold", "--m", str(m), "--p", str(p), "--repeats", "2",
+                        "--lmax", "12", "--out", "mom"],
+                       cwd=cwd, env=env, check=True, capture_output=True, timeout=120)
+        outputs.append((cwd / "mom" / "moments.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_code_info_gold5(tmp_path, capsys):
     rc = run_main(["code-info", "--code", "gold", "--m", "5",
                    "--out", str(tmp_path / "info")])
@@ -161,6 +207,19 @@ def test_code_info_even_k_over_63(tmp_path, capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["dual_distance_status"] == "=70"
+
+
+def test_code_info_ratio_beyond_float_range(tmp_path, capsys):
+    # even weight: N/n = 2^(n-1)/n leaves the float range from n = 1036 on
+    for n in (1035, 1036):
+        rc = run_main(["code-info", "--code", "even", "--n", str(n),
+                       "--out", str(tmp_path / str(n))])
+        assert rc == 0
+        ratio = json.loads(capsys.readouterr().out)["report"]["ratio_N_over_n"]
+        if n == 1035:
+            assert isinstance(ratio, float) and np.isfinite(ratio)
+        else:
+            assert ratio is None
 
 
 def test_paths_audit_rejects_k_over_63(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import eigh
 
 import codespectra as cs
 import codespectra.spectra as spectra_mod
@@ -151,8 +152,9 @@ def test_ks_invariant_under_multiplicity_doubling(values):
 
 
 def test_trace_moments_examples():
-    eigs = np.array([-1.0, 1.0])
-    moments = dict(cs.trace_moments(eigs, 3))
+    # H = [[0, 1], [1, 0]] has eigenvalues -1 and 1
+    h = np.array([[0.0, 1.0], [1.0, 0.0]])
+    moments = dict(cs.trace_moments(h, 3))
     assert moments[1] == 0.0
     assert moments[2] == 1.0
     assert moments[3] == 0.0
@@ -161,8 +163,7 @@ def test_trace_moments_examples():
 def test_centered_first_moment_vanishes(even5):
     sig = cs.sample_codewords(even5, 8, MODE_DISTINCT, seed=21)
     gi = cs.center_scale(cs.gram(sig), sig.n, sig.p)
-    eigs = cs.eig_hermitian(gi)
-    assert abs(dict(cs.trace_moments(eigs, 1))[1]) < 1e-9
+    assert abs(dict(cs.trace_moments(gi, 1))[1]) < 1e-9
 
 
 def test_second_moment_entry_formula(even5):
@@ -170,22 +171,29 @@ def test_second_moment_entry_formula(even5):
     sig = cs.sample_codewords(even5, 8, MODE_DISTINCT, seed=22)
     g = cs.gram(sig)
     gi = cs.center_scale(g, sig.n, sig.p)
-    eigs = cs.eig_hermitian(gi)
-    a2 = dict(cs.trace_moments(eigs, 2))[2]
+    a2 = dict(cs.trace_moments(gi, 2))[2]
     off = g - np.diag(np.diag(g))
     assert a2 == pytest.approx(sig.n / sig.p**2 * (off**2).sum(), rel=1e-9)
 
 
-def test_moment_eigenvalue_duality(even5):
-    sig = cs.sample_codewords(even5, 12, MODE_DISTINCT, seed=23)
-    gi = cs.center_scale(cs.gram(sig), sig.n, sig.p)
-    eigs = cs.eig_hermitian(gi)
-    power = np.eye(sig.p)
-    for ell in range(1, 7):
-        power = power @ gi
-        direct = np.trace(power) / sig.p
-        from_eigs = dict(cs.trace_moments(eigs, 6))[ell]
-        assert from_eigs == pytest.approx(direct, rel=1e-8, abs=1e-12)
+TERNARY = cs.LinearCode(q=3, generator=np.array([[1, 0, 0, 1, 2],
+                                                  [0, 1, 0, 2, 2],
+                                                  [0, 0, 1, 1, 1],
+                                                  [1, 1, 1, 0, 2]]))
+
+
+def test_moment_eigenvalue_duality(gold5):
+    # tr(H^l)/p from matrix products against (1/p) sum lambda^l from an
+    # independent eigensolver, on a real and on a complex Hermitian H
+    for code in (gold5, TERNARY):
+        sig = cs.sample_codewords(code, 12, MODE_DISTINCT, seed=23)
+        gi = cs.center_scale(cs.gram(sig), sig.n, sig.p)
+        assert np.iscomplexobj(gi) == (code.q > 2)
+        eigs = eigh(gi, eigvals_only=True)
+        moments = dict(cs.trace_moments(gi, 12))
+        for ell in range(1, 13):
+            from_eigs = (eigs**ell).sum() / sig.p
+            assert moments[ell] == pytest.approx(from_eigs, rel=1e-8, abs=1e-12)
 
 
 def test_full_code_spectrum_deterministic(even5):
