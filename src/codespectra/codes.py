@@ -100,25 +100,24 @@ class LinearCode:
 
 
 def _row_rank_mod_q(mat: np.ndarray, q: int) -> int:
-    a = np.array(mat, dtype=np.int64) % q
-    rows, cols = a.shape
+    """Rank over F_q by forward elimination, one array update per pivot.
+
+    Row r, once the pivots above it are cleared from it, is either zero
+    (dependent on the rows above) or pivots on its first nonzero entry,
+    whose column is then cleared from every row below.
+    """
+    a = np.array(mat, dtype=np.int64)
+    a %= q
     rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, col] % q:
-                pivot = r
-                break
-        if pivot is None:
+    for r in range(a.shape[0]):
+        nonzero = np.flatnonzero(a[r])
+        if nonzero.size == 0:
             continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, q)
-        a[rank] = (a[rank] * inv) % q
-        for r in range(rows):
-            if r != rank and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[rank]) % q
+        col = nonzero[0]
+        below = r + 1 + np.flatnonzero(a[r + 1:, col])
+        if below.size:
+            factor = a[below, col] * pow(int(a[r, col]), -1, q) % q
+            a[below] = (a[below] - np.outer(factor, a[r])) % q
         rank += 1
     return rank
 
@@ -219,11 +218,21 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
     """Codewords of the messages with the given indices, one row each.
 
     Message index i stands for the message whose entries are the base-q
-    digits of i, least significant first.  Digits are taken in uint64, so
-    every index below min(N, 2^64) decodes.
+    digits of i, least significant first.  Indices are taken in uint64, so
+    every index below min(N, 2^64) decodes.  For a binary code with k <= 63
+    the bits of i are the message, and coordinate j of its codeword is the
+    parity of i AND (column j packed as k bits); other codes decode digit
+    by digit and multiply by the generator.
     """
-    rest = np.asarray(indices, dtype=np.uint64)
-    q = np.uint64(code.q)
+    idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    if code.q == 2 and code.k <= 63:
+        if (idx >> code.k).any():
+            raise ParameterError(f"message index beyond the N = {code.N} codewords")
+        words = idx[:, None] & pack_columns(code).astype(np.uint64)
+        np.bitwise_count(words, out=words)
+        words &= 1
+        return words.view(np.int64)
+    rest, q = idx, np.uint64(code.q)
     digits = np.empty((rest.size, code.k), dtype=np.int64)
     for i in range(code.k):
         rest, digits[:, i] = np.divmod(rest, q)

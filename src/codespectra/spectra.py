@@ -2,9 +2,12 @@
 
 Eigenvalues come from a cyclic Jacobi sweep (certified accuracy at the
 matrix sizes that occur here, p <= a few hundred); complex Hermitian input
-is handled through the doubled real-symmetric embedding.  Failure to
-converge raises, never degrades silently.  Trace moments come from matrix
-products of H itself, not from its eigenvalues, so they need no eigensolve.
+is handled through the doubled real-symmetric embedding.  The solver first
+copies the upper triangle into the lower one, so the matrix is exactly
+symmetric; each rotation then computes its two rows once and writes them
+into the columns as well.  Failure to converge raises, never degrades
+silently.  Trace moments come from matrix products of H itself, not from
+its eigenvalues, so they need no eigensolve.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ def _jacobi_real(a: np.ndarray) -> np.ndarray:
     frob = float(np.linalg.norm(a))
     if frob == 0.0:
         return np.zeros(size)
+    # exact symmetry by assignment (an addition could turn -0.0 into 0.0),
+    # so that each rotated row is also the rotated column
+    lower = np.tril_indices(size, -1)
+    a[lower] = a.T[lower]
     threshold = JACOBI_TOL * frob
     for _ in range(JACOBI_SWEEP_LIMIT):
         # off-diagonal Frobenius mass, summed directly (the difference
@@ -91,14 +98,15 @@ def _jacobi_real(a: np.ndarray) -> np.ndarray:
                     t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                ri = a[i, :].copy()
-                rj = a[j, :].copy()
-                a[i, :] = c * ri - s * rj
-                a[j, :] = s * ri + c * rj
-                ci = a[:, i].copy()
-                cj = a[:, j].copy()
-                a[:, i] = c * ci - s * cj
-                a[:, j] = s * ci + c * cj
+                ri, rj = a[i], a[j]
+                new_i = c * ri - s * rj
+                new_j = s * ri + c * rj
+                # rows and, by symmetry, columns; the 2x2 block then takes
+                # the column rotation of the rotated rows
+                a[i] = a[:, i] = new_i
+                a[j] = a[:, j] = new_j
+                a[i, i] = c * new_i[i] - s * new_i[j]
+                a[j, j] = s * new_j[i] + c * new_j[j]
                 a[i, j] = 0.0
                 a[j, i] = 0.0
     raise ConvergenceError(
@@ -109,6 +117,13 @@ def _jacobi_real(a: np.ndarray) -> np.ndarray:
 
 def eig_hermitian(h: np.ndarray) -> np.ndarray:
     """All real eigenvalues, ascending, via cyclic Jacobi rotations.
+
+    The rotations read the upper triangle, copied into the lower one to make
+    the input exactly symmetric (Hermitian input passes `_check_hermitian`
+    only up to HERMITIAN_TOL); each rotates rows i and j once and mirrors
+    them into columns i and j.  On exactly symmetric input, such as every
+    binary Gram matrix, the mirrored rows are bit for bit the rotated
+    columns.
 
     Complex Hermitian H = A + iB goes through the real-symmetric embedding
     [[A, -B], [B, A]], whose spectrum is that of H with every eigenvalue

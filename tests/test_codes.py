@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codespectra as cs
 from codespectra import LinearCode, ParameterError, ResourceError
-from codespectra.codes import pack_columns
+from codespectra.codes import _row_rank_mod_q, pack_columns
 
 
 def all_codewords(code):
@@ -73,6 +75,49 @@ def test_encode_examples(even5):
     assert int(two.sum()) % 2 == 0
     with pytest.raises(ParameterError):
         cs.encode(even5, np.zeros(3, dtype=int))
+
+
+def _row_rank_loop(mat, q):
+    """Reference rank: Gauss-Jordan with one row update per (pivot, row)."""
+    a = np.array(mat, dtype=np.int64) % q
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot = None
+        for r in range(rank, rows):
+            if a[r, col] % q:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        inv = pow(int(a[rank, col]), -1, q)
+        a[rank] = (a[rank] * inv) % q
+        for r in range(rows):
+            if r != rank and a[r, col]:
+                a[r] = (a[r] - a[r, col] * a[rank]) % q
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_row_rank_matches_reference_loop(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    rows = data.draw(st.integers(1, 7), label="rows")
+    cols = data.draw(st.integers(1, 9), label="cols")
+    cell = st.integers(0, q - 1)
+    a = np.array(data.draw(st.lists(cell, min_size=rows * cols,
+                                    max_size=rows * cols))).reshape(rows, cols)
+    # append rows that depend on the drawn ones, then shuffle them in
+    extra = data.draw(st.integers(0, 3), label="dependent rows")
+    coeffs = np.array(data.draw(st.lists(cell, min_size=extra * rows,
+                                         max_size=extra * rows))).reshape(extra, rows)
+    a = np.vstack([a, coeffs @ a % q])
+    a = a[data.draw(st.permutations(range(a.shape[0])), label="order")]
+    assert _row_rank_mod_q(a, q) == _row_rank_loop(a, q)
 
 
 def test_generator_must_have_full_rank():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codespectra as cs
 from codespectra import ParameterError
@@ -73,6 +75,31 @@ def test_codewords_match_encode():
         assert (word == cs.encode(big, digits)).all()
     with pytest.raises(ParameterError):
         cs.codewords(cs.make_even_weight(7), [64])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_decode_matches_encode(data):
+    # binary codes with k <= 63 decode by packed parity; encode() is the oracle
+    k = data.draw(st.one_of(st.just(63), st.integers(1, 63)), label="k")
+    extra = data.draw(st.integers(0, 8), label="extra columns")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mix = np.tril(rng.integers(0, 2, size=(k, k)), -1) + np.eye(k, dtype=np.int64)
+    gen = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, size=(k, extra))])
+    gen = (mix @ gen % 2)[:, rng.permutation(k + extra)]
+    code = cs.LinearCode(q=2, generator=gen)
+    top = 2**k - 1
+    indices = data.draw(st.lists(
+        st.one_of(st.integers(0, top), st.integers(max(0, top - 3), top)),
+        min_size=1, max_size=12), label="indices")
+    words = cs.codewords(code, indices)
+    assert words.dtype == np.int64 and words.shape == (len(indices), k + extra)
+    for idx, word in zip(indices, words):
+        assert (word == cs.encode(code, [idx >> i & 1 for i in range(k)])).all()
+    beyond = data.draw(st.one_of(st.integers(top + 1, top + 4),
+                                 st.integers(top + 1, 2**64 - 1)), label="beyond")
+    with pytest.raises(ParameterError):
+        cs.codewords(code, indices + [beyond])
 
 
 def test_sampling_is_deterministic(even5):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from scipy.linalg import eigh
 import codespectra as cs
 import codespectra.spectra as spectra_mod
 from codespectra import ContractViolationError, ConvergenceError, LawSpec
-from codespectra.signal import MODE_DISTINCT
+from codespectra.signal import MODE_DISTINCT, MODE_WITH_REPLACEMENT
 
 
 def _vector_cdf(law):
@@ -93,6 +95,53 @@ def test_eig_complex_hermitian_embedding():
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = (x + x.conj().T) / 2
     assert cs.eig_hermitian(h) == pytest.approx(np.linalg.eigvalsh(h), abs=1e-10)
+
+
+def test_eig_almost_hermitian_complex_input():
+    # an asymmetry of 1e-15 passes the Hermitian check; the solver then works
+    # on the upper triangle and must still give the Hermitian part's spectrum
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    h = (x + x.conj().T) / 2
+    h = h + 1e-15 * (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    assert np.abs(h - h.conj().T).max() > 0
+    expect = eigh((h + h.conj().T) / 2, eigvals_only=True)
+    assert np.abs(cs.eig_hermitian(h) - expect).max() <= 1e-10
+
+
+# sha256 of eig_hermitian(h).tobytes() at seed 5 for the semicircle ladder's
+# four Gold rungs (centered Gram) and the MP contrast's three Grams, recorded
+# with rows and columns rotated apart: mirroring the rotated rows keeps every bit.
+EIG_SHA256 = {
+    "gold5-p8": "21a93a3693f4b441318703f97531c52ebcacf575a86676426a1b48c595d18baf",
+    "gold7-p20": "34b0b7c2695c93f3772dc96c522378bc67940ca2b4fe8c27e960b9eb31193d76",
+    "gold9-p35": "1a706d12586af93c7ec920841b6ad96bb613dbd000076f116fe1c446d1d811b8",
+    "gold11-p50": "d43f2c46e1d4cb57786044e0be0911a784ae6adb530c4b1cba4805aa735c253c",
+    "mp-gold5-y0.5": "830daa3433855f29317e330d71960960067e7dd5d86e39a5209e797a81db603c",
+    "mp-rm1_5-y0.5": "718f8c474fffb3ed7dac3246fc207f8fff18210f3ad9cffe103042f986eec2bc",
+    "mp-gold7-y0.25": "d43673fd3629cae83bd30573664f06769838f19d12a88dfbb5ba57ab72564cac",
+}
+LADDER_RUNGS = {"gold5-p8": (5, 8), "gold7-p20": (7, 20),
+                "gold9-p35": (9, 35), "gold11-p50": (11, 50)}
+MP_GRAMS = {"mp-gold5-y0.5": (cs.make_gold, 5, 0.5),
+            "mp-rm1_5-y0.5": (cs.make_rm1, 5, 0.5),
+            "mp-gold7-y0.25": (cs.make_gold, 7, 0.25)}
+
+
+@pytest.mark.parametrize("name", sorted(EIG_SHA256))
+def test_eig_bytes_pinned(name):
+    if name in LADDER_RUNGS:
+        m, p = LADDER_RUNGS[name]
+        sig = cs.sample_codewords(cs.make_gold(m), p, MODE_DISTINCT, seed=5)
+        h = cs.center_scale(cs.gram(sig), sig.n, sig.p)
+    else:
+        make, m, y = MP_GRAMS[name]
+        code = make(m)
+        sig = cs.sample_codewords(code, round(y * code.n), MODE_WITH_REPLACEMENT,
+                                  seed=5)
+        h = cs.gram(sig)
+    digest = hashlib.sha256(cs.eig_hermitian(h).tobytes()).hexdigest()
+    assert digest == EIG_SHA256[name]
 
 
 def test_eig_rejects_non_hermitian():
