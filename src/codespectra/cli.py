@@ -15,7 +15,10 @@ Each subcommand accepts the code selector (--code with --m, --n or --file),
 
 Defaults live in ExperimentConfig alone.  Every emitted JSON embeds the
 resolved config and sha256 checksums of the artifact files, so identical
-(config, seed) runs are byte-comparable.
+(config, seed) runs are byte-comparable.  The JSON is compact (one line,
+sorted keys, no indentation), which lets the stdlib encode it in C, and
+still byte-identical for the same (config, seed); `main` prints the same
+text it writes to the file.
 Exit codes: 0 ok, 2 parameter error (an argparse usage error included), 3
 resource (budget) error, 4 an internal contract or convergence failure (see
 errors.py).
@@ -120,11 +123,17 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
+def _to_json(summary: dict) -> str:
+    """One line of compact JSON with sorted keys.  Without `indent` the
+    stdlib encodes through its C encoder."""
+    return json.dumps(summary, sort_keys=True) + "\n"
+
+
 def _finish(cfg: ExperimentConfig, name: str, fields: dict) -> dict:
     """Add the config (and empty artifacts unless given) and write the JSON."""
     summary = {"config": asdict(cfg), "artifacts": {}, **fields}
     target = _out_dir(cfg) / name
-    target.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    target.write_text(_to_json(summary))
     return summary
 
 
@@ -350,7 +359,7 @@ def main(argv=None) -> int:
     except (ContractViolationError, ConvergenceError) as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return 4
-    print(json.dumps(result, indent=2, sort_keys=True))
+    sys.stdout.write(_to_json(result))
     return 0
 
 

@@ -48,6 +48,10 @@ RANK_STEP_BUDGET = 4 * 10**6
 GENERATOR_BYTES_BUDGET = 1 << 27
 
 EXHAUSTIVE_LIMIT_DEFAULT = 1 << 20
+# The exhaustive weight report also needs N * n <= EXHAUSTIVE_BITS_BUDGET:
+# its time grows with the codeword bits it counts (RM(1) m=15, 2^31 bits,
+# takes about 0.3 s; m=17, 2^35 bits, about 4 s).
+EXHAUSTIVE_BITS_BUDGET = 1 << 32
 # Sampled and non-binary weight reports decode codewords in chunks of at
 # most this many entries (rows x n): 512 kB per int64 chunk, whatever n is.
 _CHUNK_ENTRIES = 1 << 16
@@ -442,15 +446,16 @@ def code_report(
     is attached (reported exact), else `dual_distance_status(code, 5)`,
     searched up to the dual distance 5 that the semicircle law asks for,
     which may raise ResourceError before any weight is computed.  Weights
-    and coherence are exhaustive when N <= exhaustive_limit.  Beyond the
-    limit the report falls back to the construction's known weight set
-    when one is attached (exact for binary codes, since the coherence only
-    depends on the difference-codeword weight), else to a fixed-seed
-    deterministic codeword sample flagged non-certified.  The sample draws
-    64-bit message indices, so a code that needs it with N > 2^64 is
-    refused with ParameterError before the dual-distance search starts.
+    and coherence are exhaustive when N <= exhaustive_limit and the N
+    codewords hold at most EXHAUSTIVE_BITS_BUDGET bits.  Beyond that the
+    report falls back to the construction's known weight set when one is
+    attached (exact for binary codes, since the coherence only depends on
+    the difference-codeword weight), else to a fixed-seed deterministic
+    codeword sample flagged non-certified.  The sample draws 64-bit
+    message indices, so a code that needs it with N > 2^64 is refused with
+    ParameterError before the dual-distance search starts.
     """
-    if code.N <= exhaustive_limit:
+    if code.N <= exhaustive_limit and code.N * code.n <= EXHAUSTIVE_BITS_BUDGET:
         method = "exhaustive"
     elif code.known_weights is not None and code.q == 2:
         method = "structural"

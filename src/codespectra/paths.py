@@ -23,11 +23,15 @@ columns is 0).  W is the int32 contraction of these tensors, times n for
 every variable neither substituted nor constrained; `_count_solutions`
 refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
 `_contract` folds the tensors in vertex-label order, summing a variable
-out once no later tensor carries it.  The tensors come from the audit's
-`AuditOperands`, which builds each one once: scaled and sorted to a
-canonical coefficient tuple, an equation shares its tensor with every
-scalar multiple and reordering, so a binary code needs at most one tensor
-per degree.  A pair swapped is its system negated, with the same
+out once no later tensor carries it.  The audit's `AuditOperands` keeps
+one count per system left: renamed in order of first appearance, two
+systems with the same equations are the same system, so they share one
+fold (at l=4, on even-weight n=4 and on Gold m=5, the 15 walk and 738
+pair systems reduce to 58, one of them with no equation left).  A new
+system's tensors are built once per audit as well: scaled and sorted to
+a canonical coefficient tuple, an equation shares its tensor with every
+scalar multiple and reordering, so a binary code needs at most one
+tensor per degree.  A pair swapped is its system negated, with the same
 solutions, so `paths_audit` counts each pair once for it and its swap.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
@@ -263,15 +267,16 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
 class AuditOperands:
     """Code-dependent operands shared by every count and expectation of one
     audit, each built on first use: the vertex tensors, keyed by canonical
-    coefficients, and each equation's operand; whether the columns allow
-    elimination; the codeword Gram row K[0, :] and matrix K; and the
-    all-maps Gram sum of each walk.  count_W, count_W_pair and expect_omega
-    take one as `operands`; without it, each call builds its own."""
+    coefficients, and the count of each residual system up to renaming;
+    whether the columns allow elimination; the codeword Gram row K[0, :]
+    and matrix K; and the all-maps Gram sum of each walk.  count_W,
+    count_W_pair and expect_omega take one as `operands`; without it, each
+    call builds its own."""
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._tensors: dict[tuple[int, ...], np.ndarray] = {}
-        self._operands: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+        self._counts: dict[tuple, int] = {}
         self._rows: np.ndarray | None = None
         self._first_row: np.ndarray | None = None
         self._gram: np.ndarray | None = None
@@ -284,21 +289,34 @@ class AuditOperands:
         leaves its solutions unchanged.  Each equation is therefore written
         with the smallest sorted coefficient tuple among its scalings, and
         equations with the same tuple share one tensor: a binary code has at
-        most one tensor per degree.  The result is kept per equation.
+        most one tensor per degree.
         """
-        key = tuple(eq.items())
-        if key not in self._operands:
-            q = self.code.q
-            terms = min(
-                (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
-                 for unit in set(eq.values())),
-                key=lambda ts: [c for c, _ in ts],
-            )
-            coeffs = tuple(c for c, _ in terms)
-            if coeffs not in self._tensors:
-                self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
-            self._operands[key] = (self._tensors[coeffs], [var for _, var in terms])
-        return self._operands[key]
+        q = self.code.q
+        terms = min(
+            (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
+             for unit in set(eq.values())),
+            key=lambda ts: [c for c, _ in ts],
+        )
+        coeffs = tuple(c for c, _ in terms)
+        if coeffs not in self._tensors:
+            self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
+        return self._tensors[coeffs], [var for _, var in terms]
+
+    def contraction_count(self, equations: list[dict[int, int]]) -> int:
+        """Number of assignments of the variables of `equations` (each one
+        carried by some equation) that solve them all, counted once per
+        system up to renaming: the variables are renamed in order of first
+        appearance, and systems with the same renamed equations share one
+        `_contract` fold of their vertex tensors."""
+        names: dict[int, int] = {}
+        key = tuple(
+            tuple((names.setdefault(var, len(names)), c) for var, c in eq.items())
+            for eq in equations
+        )
+        if key not in self._counts:
+            terms = [self.vertex_operand(eq) for eq in equations]
+            self._counts[key] = int(_contract(terms))
+        return self._counts[key]
 
     @cached_property
     def eliminates(self) -> bool:
@@ -456,12 +474,11 @@ def _count_solutions(
     equations = [eq for a, eq in enumerate(equations, start=1)
                  if eq and a != drop_vertex]
     substituted = _eliminate(equations, code.q) if operands.eliminates else 0
-    terms = [operands.vertex_operand(eq) for eq in equations]
-    constrained = {var for _, live in terms for var in live}
+    constrained = {var for eq in equations for var in eq}
     free = code.n ** (steps - substituted - len(constrained))
-    if not terms:
+    if not equations:
         return free
-    return int(_contract(terms)) * free
+    return operands.contraction_count(equations) * free
 
 
 def count_W(

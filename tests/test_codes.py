@@ -290,6 +290,15 @@ def test_sampled_report_small_code_terminates():
     assert rep.coherence == exhaustive.coherence == 10.0
 
 
+def test_exhaustive_report_is_bounded_by_codeword_bits():
+    # RM(1) m=17 has 2^18 codewords, under EXHAUSTIVE_LIMIT_DEFAULT, but
+    # 2^35 codeword bits: its known weights are reported instead
+    rep = cs.code_report(cs.make_rm1(17))
+    assert rep.method == "structural"
+    assert rep.weight_set == (2**16, 2**17) and rep.certified
+    assert cs.code_report(cs.make_gold(9)).method == "exhaustive"
+
+
 def test_sampled_report_refuses_more_than_2_64_codewords():
     base = cs.make_even_weight(70)  # N = 2^69
     code = LinearCode(q=2, generator=np.asarray(base.generator), label="blob",

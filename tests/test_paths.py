@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import json
+import random
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import codespectra as cs
 from codespectra import ParameterError, ResourceError, paths
+from codespectra.cli import main
 from codespectra.paths import (
     COUNT_BUDGET,
     AuditOperands,
@@ -422,6 +424,27 @@ def test_vertex_tensors_are_shared_by_canonical_coefficients():
     assert len(degrees) == len(set(degrees))
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_codes(), st.randoms(use_true_random=False))
+@example(TERNARY_REPEATED, random.Random(0))
+@example(cs.LinearCode(q=2, generator=np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
+         random.Random(1))
+def test_counts_shared_by_renaming_match_fresh_counts(code, rnd):
+    # Every pair of length <= 3 and, so that systems of two equations with
+    # the same variables but other coefficients meet in one cache, every
+    # walk of length <= 6, counted in shuffled order.  Both examples repeat
+    # a column, so they count without elimination.
+    systems = [(cs.count_W_pair, pair) for ell in (1, 2, 3)
+               for pair in cs.enumerate_pair_classes(ell)]
+    systems += [(cs.count_W, path) for ell in range(1, 7)
+                for path in cs.enumerate_closed_classes(ell, simple=False)]
+    rnd.shuffle(systems)
+    shared = AuditOperands(code)
+    for count, system in systems:
+        assert count(code, system, operands=shared) == count(
+            code, system, operands=AuditOperands(code))
+
+
 @pytest.mark.parametrize("q,gen,eliminates", [
     (3, TERNARY.generator, True),
     (3, TERNARY_PROPORTIONAL.generator, True),
@@ -477,6 +500,20 @@ def test_paths_audit_is_pinned(family, size, ell):
     audit = cs.paths_audit(make[family](size), ell)
     digest = hashlib.sha256(json.dumps(audit, sort_keys=True).encode()).hexdigest()
     assert digest == AUDIT_SHA256[family, size, ell]
+
+
+def test_paths_audit_command_writes_the_pinned_audit(tmp_path, capsys):
+    argv = ["paths-audit", "--code", "even", "--n", "4", "--lmax", "4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    text = (tmp_path / "paths_audit.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == text
+    audit = json.dumps(summary["audit"], sort_keys=True)
+    assert audit in text
+    digest = hashlib.sha256(audit.encode()).hexdigest()
+    assert digest == AUDIT_SHA256["even", 4, 4]
 
 
 @settings(max_examples=40, deadline=None)
