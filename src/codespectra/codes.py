@@ -251,15 +251,17 @@ def char_map(word, q: int) -> np.ndarray:
     (0 -> +1, 1 -> -1).
 
     Built in place in its one output array, so mapping p x n words holds
-    only the int64 words and the rows.
+    only the int64 words and the rows.  A binary word's residue is its
+    parity, taken by `& 1` rather than by an integer division.
     """
     w = np.asarray(word, dtype=np.int64)
     rows = np.empty(w.shape, dtype=np.float64 if q == 2 else np.complex128)
-    np.remainder(w, q, out=rows)
     if q == 2:
+        np.bitwise_and(w, 1, out=rows)
         rows *= -2
         rows += 1
     else:
+        np.remainder(w, q, out=rows)
         rows *= 2j * np.pi
         rows /= q
         np.exp(rows, out=rows)

@@ -26,13 +26,19 @@ refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
 out once no later tensor carries it.  The audit's `AuditOperands` keeps
 one count per system left: renamed in order of first appearance, two
 systems with the same equations are the same system, so they share one
-fold (at l=4, on even-weight n=4 and on Gold m=5, the 15 walk and 738
-pair systems reduce to 58, one of them with no equation left).  A new
-system's tensors are built once per audit as well: scaled and sorted to
-a canonical coefficient tuple, an equation shares its tensor with every
-scalar multiple and reordering, so a binary code needs at most one
-tensor per degree.  A pair swapped is its system negated, with the same
-solutions, so `paths_audit` counts each pair once for it and its swap.
+fold (at l=4 on even-weight n=4, the 15 walk and 65 pair systems counted
+reduce to 28).  A new system's tensors are built once per audit as well:
+scaled and sorted to a canonical coefficient tuple, an equation shares
+its tensor with every scalar multiple and reordering, so a binary code
+needs at most one tensor per degree.
+
+W_pair is constant on each orbit of a pair under rotating either walk
+(rot^r w = w[r:l] + w[:r+1], the walk started at its step r) and swapping
+the two.  A rotation only renames that walk's step variables, and the
+swap negates the system; neither changes the number of solutions, for
+any prime q.  `paths_audit` therefore counts the first pair of each orbit
+and writes its count under the jointly canonical labels of every image:
+at l = 2, 3 and 4 the 7, 34 and 738 pairs fall into 3, 6 and 47 orbits.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
 matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
@@ -209,6 +215,14 @@ class PathPair:
                 self.labels1 + self.labels2:
             raise ParameterError("pair labels are not jointly canonical")
 
+    @classmethod
+    def _unchecked(cls, labels1: tuple[int, ...], labels2: tuple[int, ...]) -> PathPair:
+        """A pair whose labels are known to be jointly canonical."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "labels1", labels1)
+        object.__setattr__(pair, "labels2", labels2)
+        return pair
+
     @property
     def length(self) -> int:
         return len(self.labels1) - 1
@@ -232,9 +246,11 @@ def path_pair(labels1, labels2) -> PathPair:
 
 def enumerate_pair_classes(length: int, simple: bool = True) -> list[PathPair]:
     """All canonical ordered pairs of (simple) closed classes, up to a
-    single simultaneous relabeling."""
+    single simultaneous relabeling.  Each is jointly canonical by
+    construction (the second walk's growth string continues the first's
+    labels), so it is built without re-validation."""
     return [
-        PathPair(p1.labels, seq + (seq[0],))
+        PathPair._unchecked(p1.labels, seq + (seq[0],))
         for p1 in enumerate_closed_classes(length, simple)
         for start in range(1, p1.v + 2)
         for seq in _growth_strings(length, simple, start, p1.v)
@@ -246,22 +262,30 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
     """Column-sum equation of each vertex of one walk, or of a jointly
     labelled pair, as {variable: coefficient mod q} without zero terms.
 
-    Variable w*l + u stands for the column index of step u of walk w, with
-    the closing index identified (t_l = t_0); step u adds
-    +g[t_u] - g[t_{u-1}] to the equation of its head vertex.  The second
-    walk's product enters conjugated, so its steps add the opposite sign.
-    Each variable's coefficients sum to zero over the equations, so any
-    one equation follows from the others.
+    Variable w*l + j stands for the column index t_j of walk w, with the
+    closing index identified (t_l = t_0); step u adds +g[t_u] - g[t_{u-1}]
+    to the equation of its head vertex.  So t_j has coefficient +1 at
+    labels[j] and -1 at labels[j+1], and none at all when step j+1 is a
+    self-loop, where the two cancel: no coefficient is ever summed.  Step
+    u writes t_u, then t_{u-1}, into the equation of labels[u]; that fixes
+    each equation's term order, and with it the renamed systems that
+    `AuditOperands` shares.  The second walk's product enters conjugated,
+    so its coefficients have the opposite signs.  Each variable's
+    coefficients sum to zero over the equations, so any one equation
+    follows from the others.
     """
     ell = len(walks[0]) - 1
     eqs: list[dict[int, int]] = [{} for _ in range(max(map(max, walks)))]
     for w, labels in enumerate(walks):
-        sign = -1 if w else 1
+        plus, minus = (q - 1, 1) if w else (1, q - 1)
         for u in range(1, ell + 1):
-            eq = eqs[labels[u] - 1]
-            for var, c in ((w * ell + u % ell, sign), (w * ell + u - 1, -sign)):
-                eq[var] = (eq.get(var, 0) + c) % q
-    return [{var: c for var, c in eq.items() if c} for eq in eqs]
+            head = labels[u]
+            eq = eqs[head - 1]
+            if labels[u % ell + 1] != head:
+                eq[w * ell + u % ell] = plus
+            if labels[u - 1] != head:
+                eq[w * ell + u - 1] = minus
+    return eqs
 
 
 class AuditOperands:
@@ -542,6 +566,18 @@ def expect_omega(
     return complex(total / perm(big_n, v))
 
 
+def _orbit(labels1: tuple[int, ...], labels2: tuple[int, ...]):
+    """Jointly canonical labels of every image of a pair under rotating
+    either walk (rot^r w = w[r:l] + w[:r+1]) and swapping the two."""
+    ell = len(labels1) - 1
+    for r in range(ell):
+        a = labels1[r:ell] + labels1[:r + 1]
+        for s in range(ell):
+            b = labels2[s:ell] + labels2[:s + 1]
+            yield canonical_labels(a + b)
+            yield canonical_labels(b + a)
+
+
 def paths_audit(code: LinearCode, length: int) -> dict:
     """Per-class exact audit plus the module's invariant booleans."""
     n = code.n
@@ -607,18 +643,18 @@ def paths_audit(code: LinearCode, length: int) -> dict:
     if n ** (2 * length) <= COUNT_BUDGET and length <= 4:
         pair_list = enumerate_pair_classes(length, simple=True)
         pair_records = []
-        # The swapped pair's system is this one negated, with the same
-        # solutions, so each count is computed once for a pair and its swap.
+        # W_pair is constant on each orbit of rotations and the swap (see the
+        # module docstring): the first pair of an orbit is counted, and its
+        # count is written under every image.
         pair_w: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for pair in pair_list:
-            # Both walks' canonical labels are prefixes of joint ones.
-            swap = canonical_labels(pair.labels2 + pair.labels1)
-            labels2 = swap[:length + 1]
-            wp = pair_w.get((labels2, swap[length + 1:]))
+            wp = pair_w.get((pair.labels1, pair.labels2))
             if wp is None:
                 wp = count_W_pair(code, pair, operands=operands)
-            pair_w[pair.labels1, pair.labels2] = wp
-            w1, w2 = w_of[pair.labels1], w_of[labels2]
+                for joint in _orbit(pair.labels1, pair.labels2):
+                    pair_w[joint[:length + 1], joint[length + 1:]] = wp
+            w1 = w_of[pair.labels1]
+            w2 = w_of[canonical_labels(pair.labels2)]
             pair_records.append({
                 "labels1": list(pair.labels1),
                 "labels2": list(pair.labels2),

@@ -53,8 +53,8 @@ def test_paths_audit_calls_traced_layers(monkeypatch):
 
     monkeypatch.setattr(paths, "_eliminate", inside_a_count)
     paths.paths_audit(cs.make_even_weight(4), 4)
-    assert calls == {"count_W": 15, "count_W_pair": 425, "expect_omega": 30,
-                     "_eliminate": 15 + 425}
+    assert calls == {"count_W": 15, "count_W_pair": 65, "expect_omega": 30,
+                     "_eliminate": 15 + 65}
 
 
 def _count_calls(monkeypatch, module, names, calls):

@@ -378,20 +378,44 @@ def test_count_w_pair_matches_oracle_on_small_codes(code, ell, data):
     assert cs.count_W_pair(code, pair, drop_vertex=drop) == expected
 
 
+def rotate(labels, r):
+    """The closed walk `labels` started at its step r."""
+    ell = len(labels) - 1
+    return labels[r:ell] + labels[:r + 1]
+
+
+def orbit_images(labels1, labels2):
+    """Every pair reached from (labels1, labels2) by rotating either walk
+    and swapping the two, jointly canonicalized."""
+    ell = len(labels1) - 1
+    images = set()
+    for r, s in itertools.product(range(ell), repeat=2):
+        a, b = rotate(labels1, r), rotate(labels2, s)
+        for pair in (cs.path_pair(a, b), cs.path_pair(b, a)):
+            images.add((pair.labels1, pair.labels2))
+    return images
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_codes(), st.integers(1, 3), st.data())
 def test_count_w_pair_swap_identity(code, ell, data):
-    # the swapped pair's system is the negated one, with the same solutions;
-    # paths_audit reuses each pair's count for its swap
+    # the swapped pair's system is the negated one, and a rotated walk's is
+    # the same with its step variables renamed, so all have the same
+    # solutions; paths_audit reuses each pair's count across its orbit
     labels1 = data.draw(walk_labels(ell, ell))
     offset = data.draw(st.sampled_from([0, 1, 3]))
     labels2 = tuple(x + offset for x in data.draw(walk_labels(ell, ell)))
+    r, s = data.draw(st.integers(0, ell - 1)), data.draw(st.integers(0, ell - 1))
     pair = cs.path_pair(labels1, labels2)
     swapped = cs.path_pair(labels2, labels1)
-    assert cs.count_W_pair(code, pair) == cs.count_W_pair(code, swapped)
+    rotated = cs.path_pair(rotate(labels1, r), rotate(labels2, s))
+    expected = cs.count_W_pair(code, pair)
+    assert cs.count_W_pair(code, swapped) == expected
+    assert cs.count_W_pair(code, rotated) == expected
 
 
-def test_paths_audit_counts_a_pair_and_its_swap_once(monkeypatch):
+@pytest.mark.parametrize("ell,orbits", [(2, 3), (3, 6), (4, 47)])
+def test_paths_audit_counts_one_pair_per_orbit(monkeypatch, ell, orbits):
     counted = []
     count_pair = paths.count_W_pair
 
@@ -401,12 +425,38 @@ def test_paths_audit_counts_a_pair_and_its_swap_once(monkeypatch):
         return count_pair(code, pair, drop_vertex, operands)
 
     monkeypatch.setattr(paths, "count_W_pair", recording)
-    audit = cs.paths_audit(cs.make_even_weight(4), 3)
-    assert len(set(counted)) == len(counted) < len(audit["pairs"])
-    for labels1, labels2 in counted:
-        swap = cs.path_pair(labels2, labels1)
-        key = (swap.labels1, swap.labels2)
-        assert key == (labels1, labels2) or key not in counted
+    audit = cs.paths_audit(cs.make_even_weight(4), ell)
+    assert len(counted) == orbits < len(audit["pairs"])
+    for j, key in enumerate(counted):
+        assert orbit_images(*key).isdisjoint(counted[j + 1:])
+
+
+def test_enumerated_pairs_are_jointly_canonical():
+    # enumerate_pair_classes skips PathPair's validation
+    for ell in range(1, 5):
+        for simple in (True, False):
+            for pair in cs.enumerate_pair_classes(ell, simple):
+                assert pair == cs.path_pair(pair.labels1, pair.labels2)
+
+
+@pytest.mark.parametrize("code,lengths", [
+    (cs.make_even_weight(3), (2, 3)),
+    (cs.make_even_weight(4), (2, 3, 4)),
+    (cs.make_even_weight(5), (2, 3)),
+    (TERNARY, (2, 3)),
+    (TERNARY_6_3, (2, 3)),
+    (TERNARY_REPEATED, (2, 3)),
+], ids=["even3", "even4", "even5", "tern4", "tern6", "tern-repeated"])
+def test_paths_audit_pair_counts_hold_across_orbits(code, lengths):
+    # each pair's W_pair against a fresh count, with its own operands, of
+    # that pair and of every image in its orbit
+    for ell in lengths:
+        fresh = {}
+        for rec in cs.paths_audit(code, ell)["pairs"]:
+            for key in orbit_images(tuple(rec["labels1"]), tuple(rec["labels2"])):
+                if key not in fresh:
+                    fresh[key] = cs.count_W_pair(code, cs.path_pair(*key))
+                assert rec["W_pair"] == fresh[key]
 
 
 def test_vertex_tensors_are_shared_by_canonical_coefficients():
