@@ -12,12 +12,17 @@ from codespectra import cli, laws, paths, spectra
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_traced_names_exist(monkeypatch):
+def _bench_module(monkeypatch, name):
+    """Import bench/<name>.py (without running it) with bench/ on sys.path."""
     monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location("bench_worker", BENCH / "worker.py")
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_traced_names_exist(monkeypatch):
+    worker = _bench_module(monkeypatch, "worker")
     for module, attr, _ in worker.TRACED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     for name in ("code_report", "cmd_spectrum", "cmd_mp", "cmd_moments",
@@ -55,6 +60,19 @@ def test_paths_audit_calls_traced_layers(monkeypatch):
     paths.paths_audit(cs.make_even_weight(4), 4)
     assert calls == {"count_W": 15, "count_W_pair": 65, "expect_omega": 30,
                      "_eliminate": 15 + 65}
+
+
+def test_walk_audit_job_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    # the benchmark checks every job it timed after the run, apart from the
+    # program; one walk_audit job, run as its worker runs it, must pass
+    worker = _bench_module(monkeypatch, "worker")
+    checks = _bench_module(monkeypatch, "checks")
+    calls = worker.WORKLOADS["walk_audit"]["calls"]
+    for i, call in enumerate(calls):
+        worker.COMMANDS[call["command"]](
+            cli.ExperimentConfig(**call, seed=7, out=str(tmp_path / str(i))))
+    none = [None] * len(calls)
+    assert checks.Checker().check_job(calls, 7, tmp_path, none) == none
 
 
 def _count_calls(monkeypatch, module, names, calls):

@@ -85,6 +85,8 @@ TERNARY_PROPORTIONAL = cs.LinearCode(q=3, generator=np.array(
     [[1, 0, 2, 1], [0, 1, 0, 1]]))
 TERNARY_REPEATED = cs.LinearCode(q=3, generator=np.array(
     [[1, 0, 1, 2], [0, 1, 0, 1]]))
+BINARY_REPEATED = cs.LinearCode(q=2, generator=np.array(
+    [[1, 0, 1, 1], [0, 1, 0, 0]]))
 
 
 @st.composite
@@ -156,6 +158,48 @@ def test_class_count_bound(ell):
         by_v[p.v] = by_v.get(p.v, 0) + 1
     for v, count in by_v.items():
         assert count < v**ell
+
+
+def brute_force_walks(ell, simple, prefix=()):
+    """Sorted canonical labels of prefix + w over every closed walk w of
+    length ell on ell + len(prefix) labels, taken from itertools.product;
+    `simple` drops walks with a self-loop step."""
+    out = set()
+    for body in itertools.product(range(1, ell + len(prefix) + 1), repeat=ell):
+        walk = body + body[:1]
+        if not (simple and any(a == b for a, b in zip(walk, walk[1:]))):
+            out.add(canonical_labels(prefix + walk))
+    return sorted(out)
+
+
+# The audit's JSON lists classes and pairs in enumeration order, so its
+# bytes depend on that order.
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_closed_classes_in_brute_force_order(ell):
+    for simple in (False, True):
+        got = [path.labels for path in cs.enumerate_closed_classes(ell, simple)]
+        assert got == brute_force_walks(ell, simple)
+
+
+@pytest.mark.parametrize("ell", range(1, 5))
+def test_pair_classes_in_brute_force_order(ell):
+    for simple in (False, True):
+        want = sorted(joint for first in brute_force_walks(ell, simple)
+                      for joint in brute_force_walks(ell, simple, first))
+        got = [pair.labels1 + pair.labels2
+               for pair in cs.enumerate_pair_classes(ell, simple)]
+        assert got == want
+
+
+def test_growth_strings_count_set_partitions():
+    bell = [1]
+    for v in range(1, 8):
+        bell.append(sum(comb(v - 1, j) * bell[j] for j in range(v)))
+        strings = paths._growth_strings(v, simple=False)
+        assert len(strings) == bell[v]
+        assert strings == sorted(set(strings))
+        assert all(s[0] == 1 and all(s[j] <= max(s[:j]) + 1 for j in range(1, v))
+                   for s in strings)
 
 
 def test_double_tree_examples():
@@ -448,12 +492,24 @@ def test_enumerated_pairs_are_jointly_canonical():
     (TERNARY_REPEATED, (2, 3)),
 ], ids=["even3", "even4", "even5", "tern4", "tern6", "tern-repeated"])
 def test_paths_audit_pair_counts_hold_across_orbits(code, lengths):
-    # each pair's W_pair against a fresh count, with its own operands, of
-    # that pair and of every image in its orbit
+    # paths_audit computes a pair record's fields once per orbit; each
+    # record's W_pair against a fresh count, with its own operands, of that
+    # pair and of every image in its orbit, and its other fields against
+    # the pair's own vertex sets and fresh counts of its two walks' classes
+    walk_w = {}
     for ell in lengths:
         fresh = {}
         for rec in cs.paths_audit(code, ell)["pairs"]:
-            for key in orbit_images(tuple(rec["labels1"]), tuple(rec["labels2"])):
+            labels1, labels2 = tuple(rec["labels1"]), tuple(rec["labels2"])
+            pair = cs.path_pair(labels1, labels2)
+            assert (rec["v_union"], rec["v_meet"]) == (pair.v_union, pair.v_meet)
+            for labels in (labels1, labels2):
+                path = cs.closed_path(labels)
+                if path not in walk_w:
+                    walk_w[path] = cs.count_W(code, path)
+            assert rec["W1_times_W2"] == (walk_w[cs.closed_path(labels1)]
+                                          * walk_w[cs.closed_path(labels2)])
+            for key in orbit_images(labels1, labels2):
                 if key not in fresh:
                     fresh[key] = cs.count_W_pair(code, cs.path_pair(*key))
                 assert rec["W_pair"] == fresh[key]
@@ -477,8 +533,7 @@ def test_vertex_tensors_are_shared_by_canonical_coefficients():
 @settings(max_examples=30, deadline=None)
 @given(small_codes(), st.randoms(use_true_random=False))
 @example(TERNARY_REPEATED, random.Random(0))
-@example(cs.LinearCode(q=2, generator=np.array([[1, 0, 1, 1], [0, 1, 0, 0]])),
-         random.Random(1))
+@example(BINARY_REPEATED, random.Random(1))
 def test_counts_shared_by_renaming_match_fresh_counts(code, rnd):
     # Every pair of length <= 3 and, so that systems of two equations with
     # the same variables but other coefficients meet in one cache, every
@@ -518,6 +573,21 @@ def test_ternary_counts_match_oracle(code):
     for pair in cs.enumerate_pair_classes(3):
         assert cs.count_W_pair(code, pair, operands=ops) == naive_count_w(
             code, pair.labels1, pair.labels2)
+
+
+@pytest.mark.parametrize("code", [TERNARY_REPEATED, BINARY_REPEATED],
+                         ids=["ternary", "binary"])
+def test_code_independent_checks_hold_on_repeated_columns(code):
+    # README sorts the audit's checks into identities that hold for every
+    # linear code and checks of the code; a repeated column breaks the
+    # double-tree count, and none of the identities
+    for ell in (2, 3, 4):
+        checks = cs.paths_audit(code, ell)["checks"]
+        assert not checks["lemma1_exact_ok"]
+        assert checks["character_sum_ok"] and checks["lemma3_zero_ok"]
+        assert checks["redundant_equation_ok"] and checks["canonical_idempotent_ok"]
+        if ell % 2 == 0:
+            assert checks["catalan_identity_ok"]
 
 
 def test_operands_of_another_code_are_refused(even5, even7):
