@@ -142,6 +142,8 @@ def _check_sampling(cfg: ExperimentConfig, code: LinearCode, p: int, mode: str,
     """Refuse a sampling command's inputs before any sample or directory."""
     if p < 1:
         raise ParameterError(f"need p >= 1, got {p}")
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ParameterError(f"need --seed in [0, 2^64), got {cfg.seed}")
     if mode == MODE_DISTINCT and p > code.N:
         raise ParameterError(f"cannot draw {p} distinct codewords from {code.N}")
     if code.N > 1 << 64:

@@ -9,10 +9,12 @@ The audits certify what the spectral experiments rely on: the dual
 distance (smallest linearly dependent column multiset of the generator),
 the codeword weight set, and the coherence max |<eps(c), eps(c')>| over
 distinct codewords.  The shipped constructors attach the dual distance
-and weight set they are known to have in closed form (Gold: 5, since the
-dual is the double-error-correcting BCH code; RM(1): 4; even-weight: n),
-so their reports cost no search; generic codes are searched within
-memory and time budgets.
+they are known to have in closed form (Gold: 5, since the dual is the
+double-error-correcting BCH code; RM(1): 4; even-weight: n), so their
+reports cost no search; generic codes are searched within memory and time
+budgets.  Weights and coherence come from one transform of the column
+histogram up to SPECTRUM_BUDGET messages, and beyond it from the weight
+set that Gold and even-weight codes carry, or from a codeword sample.
 """
 
 from __future__ import annotations
@@ -47,13 +49,12 @@ RANK_STEP_BUDGET = 4 * 10**6
 # checked before allocating: even-weight n <= 4096, RM(1) m <= 19.
 GENERATOR_BYTES_BUDGET = 1 << 27
 
-EXHAUSTIVE_LIMIT_DEFAULT = 1 << 20
-# The exhaustive weight report also needs N * n <= EXHAUSTIVE_BITS_BUDGET:
-# its time grows with the codeword bits it counts (RM(1) m=15, 2^31 bits,
-# takes about 0.3 s; m=17, 2^35 bits, about 4 s).
-EXHAUSTIVE_BITS_BUDGET = 1 << 32
-# Sampled and non-binary weight reports decode codewords in chunks of at
-# most this many entries (rows x n): 512 kB per int64 chunk, whatever n is.
+# Largest N = q^k whose weights and coherence are exact: the transform
+# holds one int64 (binary) or complex128 character sum per message, 8 or
+# 16 MB at the budget.  Gold m=11 (N = 2^22) stays structural.
+SPECTRUM_BUDGET = 1 << 20
+# The sampled weight report decodes codewords in chunks of at most this
+# many entries (rows x n): 512 kB per int64 chunk, whatever n is.
 _CHUNK_ENTRIES = 1 << 16
 _REPORT_SAMPLE_SEED = 0x0DE5EEDC0DE5EEDC
 _REPORT_SAMPLE_SIZE = 1 << 15
@@ -183,7 +184,6 @@ def make_rm1(m: int) -> LinearCode:
         q=2,
         generator=gen,
         label=f"rm1(m={m}) [{n},{m + 1}]",
-        known_weights=frozenset({n // 2, n}),
         known_dual_distance=4,
     )
 
@@ -422,8 +422,10 @@ def _dual_distance_subsets(
 class CodeReport:
     """Structural audit used by the spectral experiments.
 
-    `ratio_N_over_n` is None when N/n exceeds the float range, as it does
-    for the even-weight codes from n = 1036 on (N = 2^(n-1)).
+    `method` is "exhaustive" (all N messages), "structural" (the known
+    weight set) or "sampled" (uncertified).  `ratio_N_over_n` is None when
+    N/n exceeds the float range, as it does for the even-weight codes from
+    n = 1036 on (N = 2^(n-1)).
     """
 
     n: int
@@ -439,25 +441,23 @@ class CodeReport:
     method: str
 
 
-def code_report(
-    code: LinearCode, exhaustive_limit: int = EXHAUSTIVE_LIMIT_DEFAULT
-) -> CodeReport:
+def code_report(code: LinearCode) -> CodeReport:
     """Dual distance, weight set and coherence of `code`.
 
     The dual distance is the construction's `known_dual_distance` when one
     is attached (reported exact), else `dual_distance_status(code, 5)`,
     searched up to the dual distance 5 that the semicircle law asks for,
     which may raise ResourceError before any weight is computed.  Weights
-    and coherence are exhaustive when N <= exhaustive_limit and the N
-    codewords hold at most EXHAUSTIVE_BITS_BUDGET bits.  Beyond that the
-    report falls back to the construction's known weight set when one is
-    attached (exact for binary codes, since the coherence only depends on
-    the difference-codeword weight), else to a fixed-seed deterministic
-    codeword sample flagged non-certified.  The sample draws 64-bit
-    message indices, so a code that needs it with N > 2^64 is refused with
-    ParameterError before the dual-distance search starts.
+    and coherence are exhaustive when N <= SPECTRUM_BUDGET, read off the
+    character sums of every message.  Beyond that the report falls back to
+    the construction's known weight set when one is attached (exact for
+    binary codes, since the coherence only depends on the difference-
+    codeword weight), else to a fixed-seed deterministic codeword sample
+    flagged non-certified.  The sample draws 64-bit message indices, so a
+    code that needs it with N > 2^64 is refused with ParameterError before
+    the dual-distance search starts.
     """
-    if code.N <= exhaustive_limit and code.N * code.n <= EXHAUSTIVE_BITS_BUDGET:
+    if code.N <= SPECTRUM_BUDGET:
         method = "exhaustive"
     elif code.known_weights is not None and code.q == 2:
         method = "structural"
@@ -502,16 +502,42 @@ def code_report(
 
 
 def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
-    if code.q == 2:
-        rows = [_pack_row(r) for r in code.generator]
-        weights: set[int] = set()
-        c = 0
-        for i in range(1, code.N):
-            c ^= rows[(i & -i).bit_length() - 1]
-            weights.add(c.bit_count())
-        coherence = max(abs(code.n - 2 * w) for w in weights)
-        return weights, float(coherence)
-    return _weights_from_messages(code, range(1, code.N))
+    """Weight set and coherence read off S(u) = sum_j chi(<u, g_j>), the row
+    sum of `char_map` of message u's codeword, for every u.
+
+    S is the character transform of the column histogram over F_q^k (column
+    g at index sum_i g_i q^i, the message order of `codewords`): k in-place
+    int64 Walsh-Hadamard butterflies for a binary code, so exact, else the
+    conjugated FFT over a (q,) * k array, one axis per digit.  The
+    coherence is max |S(u)| over u != 0.  A binary codeword has weight
+    (n - S(u)) / 2; a q-ary one has (n + sum_{t != 0} S(t u)) / q zeros,
+    summed once per projective line, each numbered by its point whose
+    lowest nonzero digit is 1 (found through a table of inverses mod q).
+    """
+    n, q, k = code.n, code.q, code.k
+    sums = np.bincount(q ** np.arange(k) @ code.generator, minlength=code.N)
+    if q == 2:
+        for i in range(k):
+            low, high = sums.reshape(-1, 2, 1 << i).swapaxes(0, 1)
+            low += high  # a + b
+            high *= -2
+            high += low  # a - b
+        weights = (n - sums[1:]) // 2
+    else:
+        sums = np.fft.fftn(sums.reshape((q,) * k)).conj().ravel()
+        inverse = np.array([0] + [pow(t, -1, q) for t in range(1, q)])
+        rest = np.arange(1, code.N)
+        scale = np.zeros_like(rest)
+        line = np.zeros_like(rest)
+        for i in range(k):
+            rest, digit = np.divmod(rest, q)
+            np.copyto(scale, inverse[digit], where=scale == 0)
+            line += digit * scale % q * q**i
+        del rest, digit, scale
+        zeros = np.rint((n + np.bincount(line, weights=sums.real[1:])[line]) / q)
+        weights = n - zeros.astype(np.int64)
+    coherence = float(np.abs(sums[1:]).max())
+    return {int(w) for w in np.flatnonzero(np.bincount(weights))}, coherence
 
 
 def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
@@ -519,22 +545,14 @@ def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
     rng = XorShift64Star(_REPORT_SAMPLE_SEED)
     indices = {code.q**i for i in range(code.k)}  # unit messages
     while len(indices) < size:
-        idx = rng.below(code.N - 1) + 1
-        indices.add(idx)
-    return _weights_from_messages(code, sorted(indices))
-
-
-def _weights_from_messages(code, message_indices) -> tuple[set[int], float]:
+        indices.add(rng.below(code.N - 1) + 1)
+    messages = sorted(indices)
     weights: set[int] = set()
     coherence = 0.0
     rows = max(1, _CHUNK_ENTRIES // code.n)
-    for start in range(0, len(message_indices), rows):
-        words = codewords(code, message_indices[start:start + rows])
+    for start in range(0, len(messages), rows):
+        words = codewords(code, messages[start:start + rows])
         weights.update(int(x) for x in np.count_nonzero(words, axis=1))
         sums = char_map(words, code.q).sum(axis=1)
         coherence = max(coherence, float(np.abs(sums).max()))
     return weights, coherence
-
-
-def _pack_row(row: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")

@@ -23,11 +23,8 @@ columns is 0).  W is the int32 contraction of these tensors, times n for
 every variable neither substituted nor constrained; `_count_solutions`
 refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
 `_contract` folds the tensors in vertex-label order, summing a variable
-out once no later tensor carries it.  The audit's `AuditOperands` keeps
-one count per system left: renamed in order of first appearance, two
-systems with the same equations are the same system, so they share one
-fold (at l=4 on even-weight n=4, the 15 walk and 65 pair systems counted
-reduce to 28).  A new system's tensors are built once per audit as well:
+out once no later tensor carries it.  Each system is folded afresh, but
+its tensors are built once per audit in the audit's `AuditOperands`:
 scaled and sorted to a canonical coefficient tuple, an equation shares
 its tensor with every scalar multiple and reordering, so a binary code
 needs at most one tensor per degree.
@@ -275,13 +272,10 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
     closing index identified (t_l = t_0); step u adds +g[t_u] - g[t_{u-1}]
     to the equation of its head vertex.  So t_j has coefficient +1 at
     labels[j] and -1 at labels[j+1], and none at all when step j+1 is a
-    self-loop, where the two cancel: no coefficient is ever summed.  Step
-    u writes t_u, then t_{u-1}, into the equation of labels[u]; that fixes
-    each equation's term order, and with it the renamed systems that
-    `AuditOperands` shares.  The second walk's product enters conjugated,
-    so its coefficients have the opposite signs.  Each variable's
-    coefficients sum to zero over the equations, so any one equation
-    follows from the others.
+    self-loop, where the two cancel: no coefficient is ever summed.  The
+    second walk's product enters conjugated, so its coefficients have the
+    opposite signs.  Each variable's coefficients sum to zero over the
+    equations, so any one equation follows from the others.
     """
     ell = len(walks[0]) - 1
     eqs: list[dict[int, int]] = [{} for _ in range(max(map(max, walks)))]
@@ -300,16 +294,14 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
 class AuditOperands:
     """Code-dependent operands shared by every count and expectation of one
     audit, each built on first use: the vertex tensors, keyed by canonical
-    coefficients, and the count of each residual system up to renaming;
-    whether the columns allow elimination; the codeword Gram row K[0, :]
-    and matrix K; and the all-maps Gram sum of each walk.  count_W,
-    count_W_pair and expect_omega take one as `operands`; without it, each
-    call builds its own."""
+    coefficients; whether the columns allow elimination; the codeword Gram
+    row K[0, :] and matrix K; and the all-maps Gram sum of each walk.
+    count_W, count_W_pair and expect_omega take one as `operands`; without
+    it, each call builds its own."""
 
     def __init__(self, code: LinearCode):
         self.code = code
         self._tensors: dict[tuple[int, ...], np.ndarray] = {}
-        self._counts: dict[tuple, int] = {}
         self._rows: np.ndarray | None = None
         self._first_row: np.ndarray | None = None
         self._gram: np.ndarray | None = None
@@ -334,22 +326,6 @@ class AuditOperands:
         if coeffs not in self._tensors:
             self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)
         return self._tensors[coeffs], [var for _, var in terms]
-
-    def contraction_count(self, equations: list[dict[int, int]]) -> int:
-        """Number of assignments of the variables of `equations` (each one
-        carried by some equation) that solve them all, counted once per
-        system up to renaming: the variables are renamed in order of first
-        appearance, and systems with the same renamed equations share one
-        `_contract` fold of their vertex tensors."""
-        names: dict[int, int] = {}
-        key = tuple(
-            tuple((names.setdefault(var, len(names)), c) for var, c in eq.items())
-            for eq in equations
-        )
-        if key not in self._counts:
-            terms = [self.vertex_operand(eq) for eq in equations]
-            self._counts[key] = int(_contract(terms))
-        return self._counts[key]
 
     @cached_property
     def eliminates(self) -> bool:
@@ -511,7 +487,8 @@ def _count_solutions(
     free = code.n ** (steps - substituted - len(constrained))
     if not equations:
         return free
-    return operands.contraction_count(equations) * free
+    terms = [operands.vertex_operand(eq) for eq in equations]
+    return int(_contract(terms)) * free
 
 
 def count_W(

@@ -297,6 +297,10 @@ def test_unknown_code_selector_exit_code(tmp_path):
     # round(y n) = 4 distinct codewords of a [5, 1] code's 2
     ["mp", "--code", "file", "--file", "{tmp}/rep5.txt", "--y", "0.8",
      "--mode", "distinct"],
+    # seeds outside the 64-bit range of the generator
+    ["spectrum", "--code", "gold", "--m", "5", "--p", "8", "--seed", "-1"],
+    ["mp", "--code", "even", "--n", "5", "--y", "0.5", "--seed",
+     "18446744073709551616"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "header.txt").write_text("2 four 3\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")

@@ -259,15 +259,17 @@ def test_code_report_known_dual_distance_allocates_nothing():
     assert peak < 1 << 20
 
 
-def test_sampled_report_memory_is_bounded():
-    # Gold m=9 without its known weights takes the sampled path: 2^15
-    # codewords of length 511, decoded in chunks of bounded size
+def test_sampled_report_memory_is_bounded(monkeypatch):
+    # Gold m=9 without its known weights takes the sampled path under a
+    # lowered budget: 2^15 codewords of length 511, decoded in chunks of
+    # bounded size
     g9 = cs.make_gold(9)
     code = LinearCode(q=2, generator=np.asarray(g9.generator), label="blob",
                       known_dual_distance=5)
+    monkeypatch.setattr(cs.codes, "SPECTRUM_BUDGET", 2**10)
     tracemalloc.start()
     try:
-        rep = cs.code_report(code, exhaustive_limit=2**10)
+        rep = cs.code_report(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,27 +278,91 @@ def test_sampled_report_memory_is_bounded():
     assert peak < 8 << 20
 
 
-def test_sampled_report_small_code_terminates():
+def test_sampled_report_small_code_terminates(monkeypatch):
     # 2^15 distinct nonzero indices do not exist when N - 1 < 2^15: the
     # sample takes all N - 1 of them
     base = cs.make_even_weight(10)
     code = LinearCode(q=2, generator=np.asarray(base.generator), label="blob",
                       known_dual_distance=10)
-    rep = cs.code_report(code, exhaustive_limit=100)
-    assert rep.method == "sampled"
     exhaustive = cs.code_report(code)
     assert exhaustive.method == "exhaustive"
+    monkeypatch.setattr(cs.codes, "SPECTRUM_BUDGET", 100)
+    rep = cs.code_report(code)
+    assert rep.method == "sampled"
     assert rep.weight_set == exhaustive.weight_set == (2, 4, 6, 8, 10)
     assert rep.coherence == exhaustive.coherence == 10.0
 
 
-def test_exhaustive_report_is_bounded_by_codeword_bits():
-    # RM(1) m=17 has 2^18 codewords, under EXHAUSTIVE_LIMIT_DEFAULT, but
-    # 2^35 codeword bits: its known weights are reported instead
+def test_rm1_17_report_is_exhaustive():
+    # 2^18 codewords of length 2^17 come from one transform of 2^18 sums
     rep = cs.code_report(cs.make_rm1(17))
-    assert rep.method == "structural"
-    assert rep.weight_set == (2**16, 2**17) and rep.certified
+    assert rep.method == "exhaustive" and rep.certified
+    assert rep.weight_set == (2**16, 2**17)
+    assert rep.coherence == 2**17
     assert cs.code_report(cs.make_gold(9)).method == "exhaustive"
+
+
+def _exhaustive_report_peak(code):
+    tracemalloc.start()
+    try:
+        rep = cs.code_report(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "exhaustive"
+    return peak
+
+
+def test_exhaustive_report_memory_is_bounded():
+    # the largest codes under SPECTRUM_BUDGET: RM(1) m=19 (2^20 int64 sums)
+    # and a ternary code with 3^12 messages (complex sums and line numbers)
+    assert _exhaustive_report_peak(cs.make_rm1(19)) < 32 << 20
+    rng = np.random.default_rng(12)
+    gen = np.hstack([np.eye(12, dtype=int), rng.integers(0, 3, size=(12, 28))])
+    code = LinearCode(q=3, generator=gen, known_dual_distance=1)  # no search
+    assert _exhaustive_report_peak(code) < 40 << 20
+
+
+def _check_against_oracle(code):
+    """The report against every codeword from `all_codewords`: equal weight
+    sets, and the same coherence (within 1e-12 relative through the FFT)."""
+    rep = cs.code_report(code)
+    words = all_codewords(code)[1:]  # message 0 is the zero word
+    assert rep.method == "exhaustive"
+    assert set(rep.weight_set) == {int(w) for w in np.count_nonzero(words, axis=1)}
+    if code.q == 2:
+        assert rep.coherence == np.abs(code.n - 2 * words.sum(axis=1)).max()
+    else:
+        sums = np.exp(2j * np.pi * words / code.q).sum(axis=1)
+        assert rep.coherence == pytest.approx(np.abs(sums).max(), rel=1e-12)
+
+
+@st.composite
+def small_codes(draw):
+    """A code with at most 2^10 messages: [I | A] with its columns shuffled,
+    so zero and repeated columns occur.  The stated dual distance is not
+    under test; it only skips the search."""
+    q = draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    k = draw(st.integers(1, {2: 10, 3: 6, 5: 4, 7: 3}[q]), label="k")
+    extra = draw(st.integers(0, 12), label="n - k")
+    cells = draw(st.lists(st.integers(0, q - 1), min_size=k * extra,
+                          max_size=k * extra))
+    gen = np.hstack([np.eye(k, dtype=int), np.reshape(cells, (k, extra))])
+    order = draw(st.permutations(range(k + extra)), label="column order")
+    return LinearCode(q=q, generator=gen[:, order], known_dual_distance=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_codes())
+def test_exhaustive_report_matches_codeword_oracle(code):
+    _check_against_oracle(code)
+
+
+def test_exhaustive_report_over_a_large_prime():
+    # k = 1: a 1-d FFT and the inverses of all 1020 units mod 1021
+    gen = np.array([[1, 5, 7, 1000, 0, 3, 3, 1020]])
+    _check_against_oracle(LinearCode(q=1021, generator=gen,
+                                     known_dual_distance=1))
 
 
 def test_sampled_report_refuses_more_than_2_64_codewords():

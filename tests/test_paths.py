@@ -535,10 +535,10 @@ def test_vertex_tensors_are_shared_by_canonical_coefficients():
 @example(TERNARY_REPEATED, random.Random(0))
 @example(BINARY_REPEATED, random.Random(1))
 def test_counts_shared_by_renaming_match_fresh_counts(code, rnd):
-    # Every pair of length <= 3 and, so that systems of two equations with
-    # the same variables but other coefficients meet in one cache, every
-    # walk of length <= 6, counted in shuffled order.  Both examples repeat
-    # a column, so they count without elimination.
+    # Every pair of length <= 3 and every walk of length <= 6, counted in
+    # shuffled order through one shared AuditOperands, whose vertex tensors
+    # serve every later system, and through a fresh one each.  Both
+    # examples repeat a column, so they count without elimination.
     systems = [(cs.count_W_pair, pair) for ell in (1, 2, 3)
                for pair in cs.enumerate_pair_classes(ell)]
     systems += [(cs.count_W, path) for ell in range(1, 7)
