@@ -6,44 +6,29 @@ whose dual is the repetition code).  Arbitrary codes load from a plain
 text generator-matrix file.
 
 The audits certify what the spectral experiments rely on: the dual
-distance (smallest linearly dependent column multiset of the generator),
-the codeword weight set, and the coherence max |<eps(c), eps(c')>| over
-distinct codewords.  The shipped constructors attach the dual distance
-they are known to have in closed form (Gold: 5, since the dual is the
-double-error-correcting BCH code; RM(1): 4; even-weight: n), so their
-reports cost no search; generic codes are searched within memory and time
-budgets.  Weights and coherence come from one transform of the column
-histogram up to SPECTRUM_BUDGET messages, and beyond it from the weight
-set that Gold and even-weight codes carry, or from a codeword sample.
+distance (smallest linearly dependent column set of the generator), the
+codeword weight set, and the coherence max |<eps(c), eps(c')>| over
+distinct codewords.  Weights and coherence come from one transform of the
+column histogram up to SPECTRUM_BUDGET messages, and beyond it from the
+weight set that Gold and even-weight codes carry, or from a codeword
+sample.  The shipped constructors attach the dual distance they are known
+to have in closed form (Gold: 5, since the dual is the double-error-
+correcting BCH code; RM(1): 4; even-weight: n); for other codes it is read
+off the transform's weight distribution through the MacWilliams
+identities, and left uncertified beyond SPECTRUM_BUDGET.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, sqrt
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ResourceError
+from .errors import ContractViolationError, ParameterError, ResourceError
 from .fields import DEFAULT_PRIMITIVE_POLY, MAX_PRIME, antilog_table, is_prime
 from .rng import XorShift64Star
-
-# Budgets for dual-distance searches of codes without a known dual
-# distance.  Sizes 3-4 hold all C(n,2) pair sums in one array of at most
-# 8 bytes each (4 when k <= 32), so PAIR_BUDGET caps that array at 64 MB:
-# n = 4096 fits, n = 8191 is refused with ResourceError.  Size 5 looks up
-# all n * C(n,2) sums of a column and a pair sum among the pair sums; it is
-# gated by C(n,5) <= WITNESS_BUDGET_5 (n <= 105, at most 573,300 lookups),
-# and beyond it the search certifies ">=5" only.  The subset search (every
-# size of a non-binary code, sizes above 5 of a binary one) ranks each
-# size-column subset over k rows; it stops before a size whose
-# C(n, size) * size * k rank steps exceed RANK_STEP_BUDGET and certifies
-# the sizes it finished.
-PAIR_BUDGET = 1 << 23
-WITNESS_BUDGET_5 = 10**8
-RANK_STEP_BUDGET = 4 * 10**6
 
 # Largest int64 generator make_rm1 and make_even_weight build, in bytes,
 # checked before allocating: even-weight n <= 4096, RM(1) m <= 19.
@@ -109,10 +94,11 @@ def _row_rank_mod_q(mat: np.ndarray, q: int) -> int:
 
     Row r, once the pivots above it are cleared from it, is either zero
     (dependent on the rows above) or pivots on its first nonzero entry,
-    whose column is then cleared from every row below.
+    whose column is then cleared from every row below.  The entries must
+    lie in [0, q); they are copied into the narrowest signed type that
+    holds -(q-1)^2, the most negative value an update makes.
     """
-    a = np.array(mat, dtype=np.int64)
-    a %= q
+    a = np.array(mat, dtype=np.min_scalar_type(-(q - 1) ** 2))
     rank = 0
     for r in range(a.shape[0]):
         nonzero = np.flatnonzero(a[r])
@@ -312,7 +298,9 @@ def pack_columns(code: LinearCode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualDistanceStatus:
-    """Exact dual distance, or a lower bound certified through `searched`."""
+    """Exact dual distance, or the lower bound searched + 1: no dual
+    codeword has a weight in 1..searched.  searched = 0 certifies nothing
+    (label ">=1")."""
 
     exact: int | None
     searched: int
@@ -325,97 +313,56 @@ class DualDistanceStatus:
 
 
 def dual_distance_status(code: LinearCode, bound: int) -> DualDistanceStatus:
-    """Smallest linearly dependent generator-column multiset, up to `bound`.
+    """Smallest linearly dependent generator-column set, up to `bound`.
 
-    Binary path: sizes 1-2 by zero/duplicate columns, then the C(n,2) pair
-    sums are sorted once (refused with ResourceError beyond PAIR_BUDGET):
-    size 3 is a pair sum equal to a column, size 4 a repeated pair sum (all
-    collisions are index-disjoint once columns are distinct), and size 5 a
-    column plus a pair sum equal to a pair sum, gated at C(n,5) <=
-    WITNESS_BUDGET_5.  Returns the exact value when a dependent set of size
-    <= bound is found, else ">= searched+1".  This searches even when the
-    code carries a `known_dual_distance`; `code_report` is the caller that
-    trusts it.
+    That is the dual code's minimum distance, read off the weight
+    distribution of all N codewords through the MacWilliams identities
+    (`_dual_distance_from_weights`), so it is refused with ResourceError
+    beyond SPECTRUM_BUDGET, before anything is computed.  Returns the exact
+    value when it is <= bound, else ">= bound+1".  This ignores a
+    `known_dual_distance`; `code_report` is the caller that trusts it.
     """
     if bound < 2:
         raise ParameterError(f"bound must be >= 2, got {bound}")
-    if code.q == 2:
-        return _dual_distance_binary(code, bound)
-    return _dual_distance_subsets(
-        np.asarray(code.generator), code.q, bound, start=1, searched=0
-    )
-
-
-def _dual_distance_binary(code: LinearCode, bound: int) -> DualDistanceStatus:
-    cols = pack_columns(code)
-    n = cols.size
-
-    if (cols == 0).any():
-        return DualDistanceStatus(1, 1)
-    if np.unique(cols).size < n:
-        return DualDistanceStatus(2, 2)
-    if bound < 3:
-        return DualDistanceStatus(None, 2)
-
-    pairs = comb(n, 2)
-    if pairs > PAIR_BUDGET:
+    if code.N > SPECTRUM_BUDGET:
         raise ResourceError(
-            f"dual-distance search needs C({n},2) = {pairs} pair sums, "
-            f"over the budget of {PAIR_BUDGET}"
+            f"the dual distance needs the weights of all N = {code.N} "
+            f"codewords, over the budget of {SPECTRUM_BUDGET}"
         )
-    cols = cols.astype(np.min_scalar_type(int(cols.max())))
-    pair_xor = np.empty(pairs, dtype=cols.dtype)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.bitwise_xor(cols[i], cols[i + 1:], out=pair_xor[start:stop])
-        start = stop
-    pair_xor.sort()
-    if _any_in_sorted(pair_xor, cols):
-        return DualDistanceStatus(3, 3)
-    if bound < 4:
-        return DualDistanceStatus(None, 3)
-
-    # distinct columns make equal pair sums automatically index-disjoint
-    if (pair_xor[1:] == pair_xor[:-1]).any():
-        return DualDistanceStatus(4, 4)
-    if bound < 5:
-        return DualDistanceStatus(None, 4)
-
-    if comb(n, 5) > WITNESS_BUDGET_5:
-        return DualDistanceStatus(None, 4)
-    # g_c + (g_a + g_b) = g_d + g_e: with no dependency of size <= 4, any
-    # such match has five distinct columns (a shared index would leave a
-    # dependent set of size <= 3)
-    if _any_in_sorted(pair_xor, cols[:, None] ^ pair_xor):
-        return DualDistanceStatus(5, 5)
-    if bound == 5:
-        return DualDistanceStatus(None, 5)
-
-    return _dual_distance_subsets(
-        np.asarray(code.generator), 2, bound, start=6, searched=5
-    )
+    counts, _ = _weights_exhaustive(code)
+    return _dual_distance_from_weights(counts, code.q, bound)
 
 
-def _any_in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> bool:
-    """Whether any query equals an entry of the sorted 1-d array."""
-    at = np.searchsorted(sorted_values, queries)
-    hit = at < sorted_values.size
-    return bool((sorted_values[at[hit]] == queries[hit]).any())
-
-
-def _dual_distance_subsets(
-    gen: np.ndarray, q: int, bound: int, start: int, searched: int
+def _dual_distance_from_weights(
+    counts: np.ndarray, q: int, bound: int
 ) -> DualDistanceStatus:
-    k, n = gen.shape
-    for size in range(start, bound + 1):
-        if comb(n, size) * size * k > RANK_STEP_BUDGET:
-            break
-        for idx in itertools.combinations(range(n), size):
-            if _row_rank_mod_q(gen[:, idx].T, q) < size:
-                return DualDistanceStatus(size, size)
-        searched = size
-    return DualDistanceStatus(None, searched)
+    """First j in 1..bound with A'_j > 0, from the weight counts A_0..A_n.
+
+    MacWilliams (MacWilliams & Sloane, ch. 5): the dual code has
+    A'_j = (1/N) sum_i A_i K_j(i) words of weight j, N = sum_i A_i, with the
+    Krawtchouk polynomial K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i,s) C(n-i,j-s).
+    The sums are exact Python integers over the support of the counts; one
+    that is negative or not divisible by N means the counts are not a
+    code's, and raises ContractViolationError.
+    """
+    n = counts.size - 1
+    support = [(i, int(counts[i])) for i in np.flatnonzero(counts).tolist()]
+    total = sum(a for _, a in support)
+    for j in range(1, bound + 1):
+        scaled = sum(
+            a * sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
+                    for s in range(j + 1))
+            for i, a in support
+        )
+        dual, rest = divmod(scaled, total)
+        if rest or dual < 0:
+            raise ContractViolationError(
+                f"MacWilliams sum for dual weight {j} is {scaled}, not a "
+                f"nonnegative multiple of N = {total}"
+            )
+        if dual:
+            return DualDistanceStatus(j, j)
+    return DualDistanceStatus(None, bound)
 
 
 @dataclass(frozen=True)
@@ -444,18 +391,18 @@ class CodeReport:
 def code_report(code: LinearCode) -> CodeReport:
     """Dual distance, weight set and coherence of `code`.
 
-    The dual distance is the construction's `known_dual_distance` when one
-    is attached (reported exact), else `dual_distance_status(code, 5)`,
-    searched up to the dual distance 5 that the semicircle law asks for,
-    which may raise ResourceError before any weight is computed.  Weights
-    and coherence are exhaustive when N <= SPECTRUM_BUDGET, read off the
-    character sums of every message.  Beyond that the report falls back to
-    the construction's known weight set when one is attached (exact for
-    binary codes, since the coherence only depends on the difference-
+    Weights and coherence are exhaustive when N <= SPECTRUM_BUDGET, read
+    off the character sums of every message.  Beyond that the report falls
+    back to the construction's known weight set when one is attached (exact
+    for binary codes, since the coherence only depends on the difference-
     codeword weight), else to a fixed-seed deterministic codeword sample
     flagged non-certified.  The sample draws 64-bit message indices, so a
-    code that needs it with N > 2^64 is refused with ParameterError before
-    the dual-distance search starts.
+    code that needs it with N > 2^64 is refused with ParameterError.
+    The dual distance is the construction's `known_dual_distance` when one
+    is attached (reported exact); else, on the exhaustive path, it comes
+    from the same weight counts through MacWilliams, up to the dual
+    distance 5 that the semicircle law asks for; else nothing is certified
+    (">=1").
     """
     if code.N <= SPECTRUM_BUDGET:
         method = "exhaustive"
@@ -468,19 +415,22 @@ def code_report(code: LinearCode) -> CodeReport:
                 f"cannot sample the N = {code.N} codewords: message indices are 64-bit"
             )
 
-    if code.known_dual_distance is not None:
-        d = code.known_dual_distance
-        status = DualDistanceStatus(d, d)
-    else:
-        status = dual_distance_status(code, 5)
-
     if method == "exhaustive":
-        weights, coherence = _weights_exhaustive(code)
+        counts, coherence = _weights_exhaustive(code)
+        weights = (np.flatnonzero(counts[1:]) + 1).tolist()
     elif method == "structural":
         weights = set(code.known_weights)
         coherence = max(abs(code.n - 2 * w) for w in weights)
     else:
         weights, coherence = _weights_sampled(code)
+
+    if code.known_dual_distance is not None:
+        d = code.known_dual_distance
+        status = DualDistanceStatus(d, d)
+    elif method == "exhaustive":
+        status = _dual_distance_from_weights(counts, code.q, 5)
+    else:
+        status = DualDistanceStatus(None, 0)
 
     try:
         ratio = code.N / code.n
@@ -501,9 +451,10 @@ def code_report(code: LinearCode) -> CodeReport:
     )
 
 
-def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
-    """Weight set and coherence read off S(u) = sum_j chi(<u, g_j>), the row
-    sum of `char_map` of message u's codeword, for every u.
+def _weights_exhaustive(code: LinearCode) -> tuple[np.ndarray, float]:
+    """Weight counts A_0..A_n and coherence read off
+    S(u) = sum_j chi(<u, g_j>), the row sum of `char_map` of message u's
+    codeword, for every u.
 
     S is the character transform of the column histogram over F_q^k (column
     g at index sum_i g_i q^i, the message order of `codewords`): k in-place
@@ -512,7 +463,8 @@ def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
     coherence is max |S(u)| over u != 0.  A binary codeword has weight
     (n - S(u)) / 2; a q-ary one has (n + sum_{t != 0} S(t u)) / q zeros,
     summed once per projective line, each numbered by its point whose
-    lowest nonzero digit is 1 (found through a table of inverses mod q).
+    lowest nonzero digit is 1 (found through a table of inverses mod q,
+    the Fermat powers t^(q-2), whose products stay below q^2 < 2^41).
     """
     n, q, k = code.n, code.q, code.k
     sums = np.bincount(q ** np.arange(k) @ code.generator, minlength=code.N)
@@ -525,7 +477,14 @@ def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
         weights = (n - sums[1:]) // 2
     else:
         sums = np.fft.fftn(sums.reshape((q,) * k)).conj().ravel()
-        inverse = np.array([0] + [pow(t, -1, q) for t in range(1, q)])
+        inverse, power, e = np.ones(q, dtype=np.int64), np.arange(q), q - 2
+        while e:
+            if e & 1:
+                inverse *= power
+                inverse %= q
+            power *= power
+            power %= q
+            e >>= 1
         rest = np.arange(1, code.N)
         scale = np.zeros_like(rest)
         line = np.zeros_like(rest)
@@ -537,7 +496,9 @@ def _weights_exhaustive(code: LinearCode) -> tuple[set[int], float]:
         zeros = np.rint((n + np.bincount(line, weights=sums.real[1:])[line]) / q)
         weights = n - zeros.astype(np.int64)
     coherence = float(np.abs(sums[1:]).max())
-    return {int(w) for w in np.flatnonzero(np.bincount(weights))}, coherence
+    counts = np.bincount(weights, minlength=n + 1)
+    counts[0] += 1  # the zero word
+    return counts, coherence
 
 
 def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:

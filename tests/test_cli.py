@@ -239,6 +239,26 @@ def test_code_info_from_file(tmp_path):
     assert summary["report"]["n"] == 4 and summary["report"]["k"] == 3
 
 
+@pytest.mark.parametrize("make, arg, method, label", [
+    # 2^14 codewords: MacWilliams gives the exact value (the pair-sum
+    # search refused n = 8192 with exit 3)
+    (codespectra.make_rm1, 13, "exhaustive", "=4"),
+    # 2^21 codewords, over SPECTRUM_BUDGET: sampled, nothing certified
+    (codespectra.make_even_weight, 22, "sampled", ">=1"),
+])
+def test_code_info_file_dual_distance(tmp_path, capsys, make, arg, method, label):
+    code = make(arg)
+    rows = [" ".join(map(str, row)) for row in code.generator.tolist()]
+    src = tmp_path / "code.txt"
+    src.write_text(f"2 {code.n} {code.k}\n" + "\n".join(rows) + "\n")
+    rc = run_main(["code-info", "--code", "file", "--file", str(src),
+                   "--out", str(tmp_path / "info")])
+    assert rc == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["method"] == method
+    assert rep["dual_distance_status"] == label
+
+
 def test_paths_audit_command(tmp_path):
     cfg = ExperimentConfig(command="paths-audit", code="even", n=5,
                            lmax=2, out=str(tmp_path / "audit"))

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codespectra as cs
-from codespectra import LinearCode, ParameterError, ResourceError
-from codespectra.codes import _row_rank_mod_q, pack_columns
+from codespectra import ContractViolationError, LinearCode, ParameterError, \
+    ResourceError
+from codespectra.codes import GENERATOR_BYTES_BUDGET, _dual_distance_from_weights, \
+    _row_rank_mod_q, pack_columns
 
 
 def all_codewords(code):
@@ -105,7 +107,8 @@ def _row_rank_loop(mat, q):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_row_rank_matches_reference_loop(data):
-    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    # 13 and 191 are the first primes whose elimination needs int16 and int32
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 13, 191]), label="q")
     rows = data.draw(st.integers(1, 7), label="rows")
     cols = data.draw(st.integers(1, 9), label="cols")
     cell = st.integers(0, q - 1)
@@ -118,6 +121,17 @@ def test_row_rank_matches_reference_loop(data):
     a = np.vstack([a, coeffs @ a % q])
     a = a[data.draw(st.permutations(range(a.shape[0])), label="order")]
     assert _row_rank_mod_q(a, q) == _row_rank_loop(a, q)
+
+
+def test_rank_check_copy_stays_within_generator_budget():
+    # the 80 MB int64 RM(1) m=19 generator is ranked in an int8 copy
+    tracemalloc.start()
+    try:
+        cs.make_rm1(19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < GENERATOR_BYTES_BUDGET
 
 
 def test_generator_must_have_full_rank():
@@ -138,10 +152,10 @@ def test_dual_distance_gold5(gold5):
 
 
 def test_dual_distance_gold7_budget(gold7):
-    # C(127,5) exceeds the witness budget, so only ">=5" is certified
+    # 2^14 codewords, within SPECTRUM_BUDGET: MacWilliams finds A'_5 > 0
     status = cs.dual_distance_status(gold7, 5)
-    assert status.exact is None
-    assert status.label == ">=5"
+    assert status.exact == 5
+    assert status.label == "=5"
     assert "analytic" in gold7.label
 
 
@@ -156,10 +170,10 @@ def test_dual_distance_even5(even5):
 
 @pytest.mark.parametrize("make, arg, searched", [
     (cs.make_gold, 5, "=5"),
-    (cs.make_gold, 7, ">=5"),
-    (cs.make_gold, 9, ">=5"),
-    *[(cs.make_rm1, m, "=4") for m in (3, 4, 5)],
-    *[(cs.make_even_weight, n, f"={n}") for n in range(3, 8)],
+    (cs.make_gold, 7, "=5"),
+    (cs.make_gold, 9, "=5"),
+    *[(cs.make_rm1, m, "=4") for m in range(3, 20)],
+    *[(cs.make_even_weight, n, f"={n}" if n <= 7 else ">=8") for n in range(3, 22)],
 ])
 def test_known_dual_distance_agrees_with_search(make, arg, searched):
     code = make(arg)
@@ -173,10 +187,10 @@ def test_known_dual_distance_agrees_with_search(make, arg, searched):
 
 
 def test_dual_distance_rejects_k_over_63():
-    # 1 << 63 and beyond wrap in int64: the search used to report "=1"
-    with pytest.raises(ParameterError):
-        cs.dual_distance_status(cs.make_even_weight(66), 5)
-    assert cs.dual_distance_status(cs.make_even_weight(64), 3).label == ">=4"
+    # N = 2^65 and 2^63 are over SPECTRUM_BUDGET: refused, not wrapped
+    for n in (66, 64):
+        with pytest.raises(ResourceError):
+            cs.dual_distance_status(cs.make_even_weight(n), 3)
 
 
 def test_dual_distance_monotone(even5, rm1_3, gold5):
@@ -228,7 +242,7 @@ def test_code_report_gold5(gold5):
     assert rep.coherence == 9.0
     assert rep.coherence_constant == pytest.approx(9 / np.sqrt(31))
     assert rep.certified and rep.method == "exhaustive"
-    # without the attached value the report searches up to 5 and finds it
+    # without the attached value the report reads it off the weight counts
     searched = cs.code_report(cs.LinearCode(q=2, generator=gold5.generator))
     assert searched.dual_distance_status == "=5"
 
@@ -338,13 +352,14 @@ def _check_against_oracle(code):
 
 
 @st.composite
-def small_codes(draw):
-    """A code with at most 2^10 messages: [I | A] with its columns shuffled,
-    so zero and repeated columns occur.  The stated dual distance is not
-    under test; it only skips the search."""
+def small_codes(draw, max_n=22):
+    """A code with at most 2^10 messages and at most max_n columns: [I | A]
+    with its columns shuffled, so zero and repeated columns occur.  The
+    attached dual distance is not under test; it only skips MacWilliams in
+    `code_report`."""
     q = draw(st.sampled_from([2, 3, 5, 7]), label="q")
     k = draw(st.integers(1, {2: 10, 3: 6, 5: 4, 7: 3}[q]), label="k")
-    extra = draw(st.integers(0, 12), label="n - k")
+    extra = draw(st.integers(0, min(12, max_n - k)), label="n - k")
     cells = draw(st.lists(st.integers(0, q - 1), min_size=k * extra,
                           max_size=k * extra))
     gen = np.hstack([np.eye(k, dtype=int), np.reshape(cells, (k, extra))])
@@ -363,6 +378,50 @@ def test_exhaustive_report_over_a_large_prime():
     gen = np.array([[1, 5, 7, 1000, 0, 3, 3, 1020]])
     _check_against_oracle(LinearCode(q=1021, generator=gen,
                                      known_dual_distance=1))
+
+
+def test_exhaustive_report_over_the_largest_prime_under_the_budget():
+    # k = 1 over q = 2^20 - 3: every nonzero codeword has the weight of the
+    # nonzero columns, and the line numbering reads all q - 1 inverses
+    q = 1_048_573
+    gen = np.array([[1, 5, 7, 1000, 0, 3, 3, q - 1]])
+    rep = cs.code_report(LinearCode(q=q, generator=gen))
+    t = np.arange(1, q)
+    sums = np.zeros(q - 1, dtype=complex)
+    for g in gen[0]:
+        sums += np.exp(2j * np.pi * (t * g % q) / q)
+    assert rep.method == "exhaustive"
+    assert rep.weight_set == (np.count_nonzero(gen),)
+    assert rep.coherence == pytest.approx(np.abs(sums).max(), rel=1e-12)
+    assert rep.dual_distance_status == "=1"  # the zero column
+
+
+def _min_dependent_columns(code, bound):
+    """Smallest column subset whose rank is below its size, up to bound."""
+    gen = np.asarray(code.generator)
+    for size in range(1, bound + 1):
+        for idx in itertools.combinations(range(code.n), size):
+            if _row_rank_loop(gen[:, idx], code.q) < size:
+                return size
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=12))
+def test_dual_distance_matches_dependent_column_oracle(code):
+    status = cs.dual_distance_status(code, 5)
+    assert status.exact == _min_dependent_columns(code, 5)
+    if status.exact is None:
+        assert status.label == ">=6"
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 2],     # q = 2, n = 1: A'_1 = (1 - 2) / 3 is not an integer
+    [1, 0, 3],  # q = 2, n = 2: A'_1 = (2 - 6) / 4 is negative
+])
+def test_macwilliams_rejects_counts_of_no_code(counts):
+    with pytest.raises(ContractViolationError):
+        _dual_distance_from_weights(np.array(counts), 2, 5)
 
 
 def test_sampled_report_refuses_more_than_2_64_codewords():
@@ -386,23 +445,25 @@ def test_sampled_report_refusal_precedes_dual_distance_search(monkeypatch):
 
 
 def test_dual_distance_subset_search_is_bounded_by_work():
-    # ternary [42, 41]: identity plus an all-ones column, dual distance 42;
-    # sizes 1-3 are searched, C(42,4) * 4 * 41 rank steps are over budget
+    # ternary [42, 41]: N = 3^41 is over SPECTRUM_BUDGET, refused at once
     gen = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
     code = LinearCode(q=3, generator=gen)
-    assert cs.dual_distance_status(code, 5).label == ">=4"
+    with pytest.raises(ResourceError, match=f"N = {3**41}"):
+        cs.dual_distance_status(code, 5)
 
 
 def test_dual_distance_pair_budget():
-    # shipped generators with the known fields stripped: n = 2048 is
-    # searched, n = 8191 is refused before the pair sums are allocated
-    rm = cs.make_rm1(11)
-    code = LinearCode(q=2, generator=np.asarray(rm.generator), label="blob")
-    assert cs.code_report(code).dual_distance_status == "=4"
+    # shipped generators with the known fields stripped: RM(1) of length
+    # 2048 and 8192 has at most 2^14 codewords and gets the exact value;
+    # Gold m=13 has 2^26, over SPECTRUM_BUDGET
+    for m in (11, 13):
+        rm = cs.make_rm1(m)
+        code = LinearCode(q=2, generator=np.asarray(rm.generator), label="blob")
+        assert cs.code_report(code).dual_distance_status == "=4"
     g13 = cs.make_gold(13)
     code = LinearCode(q=2, generator=np.asarray(g13.generator), label="blob")
     with pytest.raises(ResourceError):
-        cs.code_report(code)
+        cs.dual_distance_status(code, 5)
 
 
 def test_code_report_sampled_path():
@@ -413,6 +474,7 @@ def test_code_report_sampled_path():
     assert rep.method == "sampled"
     assert not rep.certified
     assert all(w % 2 == 0 for w in rep.weight_set)
+    assert rep.dual_distance_status == ">=1"  # nothing certified
 
 
 def test_pack_columns_matches_generator(even5):
