@@ -26,7 +26,6 @@ from .laws import LawSpec, mp_cdf, mp_moment, mp_pdf, sc_cdf, sc_moment, sc_pdf
 from .paths import (
     ClosedPath,
     PathPair,
-    closed_path,
     count_double_tree_classes,
     count_W,
     count_W_pair,
@@ -34,7 +33,6 @@ from .paths import (
     enumerate_pair_classes,
     expect_omega,
     is_double_tree,
-    path_pair,
     paths_audit,
 )
 from .rng import XorShift64Star

@@ -18,10 +18,11 @@ reads each degree-2 equation c (g[t_a] - g[t_b]) = 0 as t_a = t_b and
 substitutes t_a for t_b.  That keeps the solution set of the equations
 kept, so the one left out still follows from them.  Each equation left
 becomes a 0/1 tensor over its variables, with entry 1 where the weighted
-column sum vanishes mod q (for binary codes, where the XOR of the packed
-columns is 0).  W is the int32 contraction of these tensors, times n for
-every variable neither substituted nor constrained; `_count_solutions`
-refuses n^(number of steps) above COUNT_BUDGET, which keeps it exact.
+column sum vanishes mod q (for binary codes with k <= 63, where the XOR
+of the packed columns is 0).  W is the int32 contraction of these
+tensors, times n for every variable neither substituted nor constrained;
+`_count_solutions` refuses n^(number of steps) above COUNT_BUDGET, which
+keeps it exact.
 `_contract` folds the tensors in vertex-label order, summing a variable
 out once no later tensor carries it.  Each system is folded afresh, but
 its tensors are built once per audit in the audit's `AuditOperands`:
@@ -41,7 +42,9 @@ at l = 2, 3 and 4 the 7, 34 and 738 pairs fall into 3, 6 and 47 orbits.
 The images come from rotation tables: each walk's distinct rotations,
 listed once even for a rotation-symmetric walk, each with the map that
 relabels it in first-use order.  An image's second walk continues the
-map of its first, so no image is canonicalized from scratch.
+map of its first, so no image is canonicalized from scratch, and the
+swapped images are built only for the 24 of the 47 orbits at l = 4 whose
+swap is not already a rotation image.
 
 Codeword side (expect_omega): the all-maps sum is the codeword Gram
 matrix K = <s(c), s(c')> contracted over the walk's edges; a self-loop
@@ -106,21 +109,22 @@ def canonical_labels(labels) -> tuple[int, ...]:
     return _relabel(labels, {})
 
 
+def _closed_walk(labels) -> tuple[int, ...]:
+    """`labels` as a tuple of ints, refused unless it is a closed walk."""
+    seq = tuple(int(x) for x in labels)
+    if len(seq) < 2 or seq[0] != seq[-1]:
+        raise ParameterError(f"not a closed walk: {seq}")
+    return seq
+
+
 @dataclass(frozen=True)
 class ClosedPath:
-    """Canonical representative of a closed walk up to vertex relabeling."""
+    """A closed walk up to vertex relabeling, stored canonically."""
 
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) < 2:
-            raise ParameterError("a closed walk needs at least one step")
-        if self.labels[0] != self.labels[-1]:
-            raise ParameterError("walk is not closed")
-        if self.labels != canonical_labels(self.labels):
-            raise ParameterError(
-                f"labels {self.labels} are not in canonical first-use order"
-            )
+        object.__setattr__(self, "labels", canonical_labels(_closed_walk(self.labels)))
 
     @property
     def length(self) -> int:
@@ -134,14 +138,6 @@ class ClosedPath:
     @property
     def is_simple(self) -> bool:
         return all(a != b for a, b in zip(self.labels, self.labels[1:]))
-
-
-def closed_path(labels) -> ClosedPath:
-    """Canonicalize an arbitrary closed label sequence."""
-    seq = tuple(int(x) for x in labels)
-    if len(seq) < 2 or seq[0] != seq[-1]:
-        raise ParameterError(f"not a closed walk: {seq}")
-    return ClosedPath(canonical_labels(seq))
 
 
 def enumerate_closed_classes(length: int, simple: bool) -> list[ClosedPath]:
@@ -206,20 +202,19 @@ def count_double_tree_classes(length: int) -> int:
 
 @dataclass(frozen=True)
 class PathPair:
-    """Two same-length closed walks on a shared, jointly canonical label space."""
+    """Two same-length closed walks up to one simultaneous relabeling,
+    stored jointly canonical."""
 
     labels1: tuple[int, ...]
     labels2: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels1) != len(self.labels2):
+        a, b = _closed_walk(self.labels1), _closed_walk(self.labels2)
+        if len(a) != len(b):
             raise ParameterError("paired walks must have equal length")
-        for seq in (self.labels1, self.labels2):
-            if len(seq) < 2 or seq[0] != seq[-1]:
-                raise ParameterError(f"not a closed walk: {seq}")
-        if canonical_labels(self.labels1 + self.labels2) != \
-                self.labels1 + self.labels2:
-            raise ParameterError("pair labels are not jointly canonical")
+        names: dict[int, int] = {}
+        object.__setattr__(self, "labels1", _relabel(a, names))
+        object.__setattr__(self, "labels2", _relabel(b, names))
 
     @classmethod
     def _unchecked(cls, labels1: tuple[int, ...], labels2: tuple[int, ...]) -> PathPair:
@@ -242,19 +237,11 @@ class PathPair:
         return len(set(self.labels1) & set(self.labels2))
 
 
-def path_pair(labels1, labels2) -> PathPair:
-    """Jointly canonicalize an ordered pair of closed walks."""
-    a = tuple(int(x) for x in labels1)
-    b = tuple(int(x) for x in labels2)
-    joint = canonical_labels(a + b)
-    return PathPair(joint[: len(a)], joint[len(a):])
-
-
 def enumerate_pair_classes(length: int, simple: bool = True) -> list[PathPair]:
     """All canonical ordered pairs of (simple) closed classes, up to a
     single simultaneous relabeling.  Each is jointly canonical by
     construction (the second walk's growth string continues the first's
-    labels), so it is built without re-validation."""
+    labels), so it is built without re-canonicalization."""
     return [
         PathPair._unchecked(p1.labels, seq + (seq[0],))
         for p1 in enumerate_closed_classes(length, simple)
@@ -330,14 +317,13 @@ class AuditOperands:
     @cached_property
     def eliminates(self) -> bool:
         """Whether the columns are pairwise distinct, the precondition of
-        `_eliminate`.  Binary columns are compared packed; a Python set, not
-        np.unique, which would import numpy.ma (0.8 MB of resident memory)."""
+        `_eliminate`.  For every q and k, each column is compared as the
+        byte string of a row of one narrow-dtype copy of the transposed
+        generator, in a Python set: not np.unique, which would import
+        numpy.ma (0.8 MB of resident memory)."""
         code = self.code
-        if code.q == 2:
-            cols = pack_columns(code).tolist()
-        else:
-            cols = [tuple(col) for col in code.generator.T.tolist()]
-        return len(set(cols)) == code.n
+        cols = np.ascontiguousarray(code.generator.T, np.min_scalar_type(code.q - 1))
+        return len({col.tobytes() for col in cols}) == code.n
 
     def all_maps_sum(self, labels: tuple[int, ...]):
         """Sum over all maps f from the vertices of the connected closed walk
@@ -401,8 +387,9 @@ def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOper
 
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
-    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q."""
-    if code.q == 2:
+    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q.  Binary columns that
+    pack into int64 (k <= 63) are compared by XOR."""
+    if code.q == 2 and code.k <= 63:
         packed = pack_columns(code)
         cols = packed.astype(np.min_scalar_type(int(packed.max())))
         acc = cols
@@ -566,16 +553,21 @@ def _rotations(labels: tuple[int, ...]):
     return list(table.values())
 
 
-def _orbit(labels1: tuple[int, ...], labels2: tuple[int, ...]):
+def _orbit(labels1: tuple[int, ...], labels2: tuple[int, ...]) -> set:
     """Jointly canonical labels, as (labels1, labels2), of every image of a
     pair under rotating either walk and swapping the two.  Each walk's
     distinct rotations are relabelled once; an image's second walk
-    continues the map of its first."""
+    continues the map of its first.  The swapped images are the rotation
+    images of the swapped pair, so they are built only when that pair is
+    not already a rotation image, else they would repeat the others."""
     rot1, rot2 = _rotations(labels1), _rotations(labels2)
-    for a, canon_a, names_a in rot1:
-        for b, canon_b, names_b in rot2:
-            yield canon_a, _relabel(b, dict(names_a))
-            yield canon_b, _relabel(a, dict(names_b))
+    images = {(canon_a, _relabel(b, dict(names_a)))
+              for _, canon_a, names_a in rot1 for b, _, _ in rot2}
+    _, canon2, names2 = rot2[0]  # rotation 0: labels2 itself
+    if (canon2, _relabel(labels1, dict(names2))) not in images:
+        images.update((canon_b, _relabel(a, dict(names_b)))
+                      for _, canon_b, names_b in rot2 for a, _, _ in rot1)
+    return images
 
 
 def paths_audit(code: LinearCode, length: int) -> dict:

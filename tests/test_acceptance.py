@@ -81,8 +81,8 @@ def test_criterion_4_lemma3_zero_case(even5):
             if pair.v_meet > 1:
                 continue
             wp = cs.count_W_pair(even5, pair)
-            w1 = cs.count_W(even5, cs.closed_path(pair.labels1))
-            w2 = cs.count_W(even5, cs.closed_path(pair.labels2))
+            w1 = cs.count_W(even5, cs.ClosedPath(pair.labels1))
+            w2 = cs.count_W(even5, cs.ClosedPath(pair.labels2))
             checked += 1
             if wp != w1 * w2:
                 failures.append((pair.labels1, pair.labels2))

@@ -62,17 +62,25 @@ def test_paths_audit_calls_traced_layers(monkeypatch):
                      "_eliminate": 15 + 65}
 
 
-def test_walk_audit_job_passes_the_benchmark_checks(monkeypatch, tmp_path):
-    # the benchmark checks every job it timed after the run, apart from the
-    # program; one walk_audit job, run as its worker runs it, must pass
+def _check_one_job(monkeypatch, tmp_path, workload):
+    """Run one job of `workload` at seed 7 as its worker runs it, and check
+    it as the benchmark checks every job it timed, apart from the program."""
     worker = _bench_module(monkeypatch, "worker")
     checks = _bench_module(monkeypatch, "checks")
-    calls = worker.WORKLOADS["walk_audit"]["calls"]
+    calls = worker.WORKLOADS[workload]["calls"]
     for i, call in enumerate(calls):
         worker.COMMANDS[call["command"]](
             cli.ExperimentConfig(**call, seed=7, out=str(tmp_path / str(i))))
     none = [None] * len(calls)
     assert checks.Checker().check_job(calls, 7, tmp_path, none) == none
+
+
+def test_walk_audit_job_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    _check_one_job(monkeypatch, tmp_path, "walk_audit")
+
+
+def test_spectral_job_passes_the_benchmark_checks(monkeypatch, tmp_path):
+    _check_one_job(monkeypatch, tmp_path, "spectral")
 
 
 def _count_calls(monkeypatch, module, names, calls):

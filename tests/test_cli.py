@@ -222,12 +222,20 @@ def test_code_info_ratio_beyond_float_range(tmp_path, capsys):
             assert ratio is None
 
 
-def test_paths_audit_rejects_k_over_63(tmp_path, capsys):
-    # packed columns would wrap in int64 and miscount the double trees
-    rc = run_main(["paths-audit", "--code", "even", "--n", "70",
-                   "--lmax", "3", "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("parameter error:")
+def test_paths_audit_audits_k_over_63(tmp_path, capsys):
+    # 64 rows do not pack into int64, so the columns are compared and the
+    # vertex tensors built unpacked; the double trees still count n^(l-v+1)
+    rc = run_main(["paths-audit", "--code", "even", "--n", "65",
+                   "--lmax", "2", "--out", str(tmp_path / "x")])
+    assert rc == 0
+    audit = json.loads(capsys.readouterr().out)["audit"]
+    assert [(r["labels"], r["W"], r["double_tree_value"])
+            for r in audit["classes"]] == [([1, 1, 1], 4225, 4225),
+                                           ([1, 2, 1], 65, 65)]
+    assert audit["pairs"] is not None
+    oks = {name: value for name, value in audit["checks"].items()
+           if name.endswith("_ok")}
+    assert len(oks) == 6 and all(value is True for value in oks.values())
 
 
 def test_code_info_from_file(tmp_path):

@@ -127,12 +127,14 @@ def test_canonicalization_orbit_invariance(body, perm):
 
 def test_closed_path_validation():
     with pytest.raises(ParameterError):
-        cs.closed_path((1, 2, 3))  # not closed
+        cs.ClosedPath((1, 2, 3))  # not closed
     with pytest.raises(ParameterError):
-        cs.ClosedPath((2, 1, 2))  # not canonical
-    p = cs.closed_path((3, 7, 3))
+        cs.ClosedPath((4,))  # no step
+    assert cs.ClosedPath((2, 1, 2)).labels == (1, 2, 1)  # canonicalized
+    p = cs.ClosedPath((3, 7, 3))
     assert p.labels == (1, 2, 1)
     assert p.length == 2 and p.v == 2 and p.is_simple
+    assert p == cs.ClosedPath([np.int64(1), 2, 1]) == cs.ClosedPath(p.labels)
 
 
 def test_enumerate_length_two():
@@ -203,8 +205,8 @@ def test_growth_strings_count_set_partitions():
 
 
 def test_double_tree_examples():
-    assert cs.is_double_tree(cs.closed_path((1, 2, 1)))
-    assert not cs.is_double_tree(cs.closed_path((1, 2, 3, 1)))
+    assert cs.is_double_tree(cs.ClosedPath((1, 2, 1)))
+    assert not cs.is_double_tree(cs.ClosedPath((1, 2, 3, 1)))
     l4 = [p for p in cs.enumerate_closed_classes(4, simple=True)
           if cs.is_double_tree(p)]
     assert sorted(p.labels for p in l4) == [(1, 2, 1, 3, 1), (1, 2, 3, 2, 1)]
@@ -212,7 +214,7 @@ def test_double_tree_examples():
 
 def test_double_tree_edge_revisit_is_rejected():
     # reduces to nothing but revisits the edge {1,2}; not a double tree
-    assert not cs.is_double_tree(cs.closed_path((1, 2, 1, 2, 1)))
+    assert not cs.is_double_tree(cs.ClosedPath((1, 2, 1, 2, 1)))
 
 
 def test_catalan_identity():
@@ -244,13 +246,13 @@ def test_vertex_equations_cancel(q):
 
 
 def test_count_w_single_edge(even5):
-    w = cs.count_W(even5, cs.closed_path((1, 2, 1)))
+    w = cs.count_W(even5, cs.ClosedPath((1, 2, 1)))
     assert w == 5  # equations force equal columns; columns are distinct
     assert w == naive_count_w(even5, (1, 2, 1))
 
 
 def test_count_w_triangle(even5):
-    path = cs.closed_path((1, 2, 3, 1))
+    path = cs.ClosedPath((1, 2, 3, 1))
     w = cs.count_W(even5, path)
     assert w == naive_count_w(even5, (1, 2, 3, 1))
     assert w <= even5.n ** (path.length - path.v + 1)
@@ -261,7 +263,7 @@ def test_count_w_triangle(even5):
     (1, 2, 3, 4, 1), (1, 1, 2, 1), (1, 2, 2, 1, 1),
 ])
 def test_count_w_matches_naive_oracle(even5, labels):
-    path = cs.closed_path(labels)
+    path = cs.ClosedPath(labels)
     assert cs.count_W(even5, path) == naive_count_w(even5, labels)
 
 
@@ -276,7 +278,7 @@ def test_count_w_double_tree_exact(even5, even7):
 
 def test_count_w_budget(even7):
     with pytest.raises(ResourceError):
-        cs.count_W(even7, cs.closed_path((1, 2) * 5 + (1,)))
+        cs.count_W(even7, cs.ClosedPath((1, 2) * 5 + (1,)))
 
 
 def test_pair_enumeration_small():
@@ -293,17 +295,24 @@ def test_count_w_pair_conjugates_second_walk():
     # over F_3 the sign of the second walk matters: a triangle paired with
     # itself and with its reversal have different counts
     for labels2, expected in (((1, 2, 3, 1), 124), ((1, 3, 2, 1), 106)):
-        pair = cs.path_pair((1, 2, 3, 1), labels2)
+        pair = cs.PathPair((1, 2, 3, 1), labels2)
         assert naive_count_w(TERNARY, pair.labels1, pair.labels2) == expected
         assert cs.count_W_pair(TERNARY, pair) == expected
 
 
 def test_path_pair_joint_canonical():
-    pair = cs.path_pair((5, 9, 5), (9, 5, 9))
+    pair = cs.PathPair((5, 9, 5), (9, 5, 9))
     assert pair.labels1 == (1, 2, 1)
     assert pair.labels2 == (2, 1, 2)
+    # fresh labels out of first-use order are renamed in first-use order
+    pair = cs.PathPair((1, 2, 1), (4, 3, 4))
+    assert (pair.labels1, pair.labels2) == ((1, 2, 1), (3, 4, 3))
     with pytest.raises(ParameterError):
-        cs.PathPair((1, 2, 1), (4, 3, 4))  # fresh labels out of first-use order
+        cs.PathPair((1, 2, 1), (1, 2, 3))  # second walk not closed
+    with pytest.raises(ParameterError):
+        cs.PathPair((1, 2, 3), (1, 2, 1))  # first walk not closed
+    with pytest.raises(ParameterError):
+        cs.PathPair((1, 2, 1), (1, 2, 3, 1))  # unequal lengths
 
 
 def test_lemma3_zero_case_l2(even5):
@@ -311,8 +320,8 @@ def test_lemma3_zero_case_l2(even5):
         if pair.v_meet > 1:
             continue
         wp = cs.count_W_pair(even5, pair)
-        w1 = cs.count_W(even5, cs.closed_path(pair.labels1))
-        w2 = cs.count_W(even5, cs.closed_path(pair.labels2))
+        w1 = cs.count_W(even5, cs.ClosedPath(pair.labels1))
+        w2 = cs.count_W(even5, cs.ClosedPath(pair.labels2))
         assert wp == w1 * w2, (pair.labels1, pair.labels2)
 
 
@@ -324,7 +333,7 @@ def test_pair_redundant_equation_deletion(even5):
 
 
 def test_pair_budget(even7):
-    pair = cs.path_pair((1, 2, 1, 3, 1, 4, 1), (1, 2, 1, 3, 1, 4, 1))
+    pair = cs.PathPair((1, 2, 1, 3, 1, 4, 1), (1, 2, 1, 3, 1, 4, 1))
     with pytest.raises(ResourceError):
         cs.count_W_pair(even7, pair)
 
@@ -334,16 +343,16 @@ def test_count_budget_boundary():
     # without building a tensor; n = 10 puts the budget at 8 steps
     even10 = cs.make_even_weight(10)
     assert COUNT_BUDGET == 10**8
-    assert cs.count_W(even10, cs.closed_path((1,) * 9)) == 10**8
+    assert cs.count_W(even10, cs.ClosedPath((1,) * 9)) == 10**8
     with pytest.raises(ResourceError):
-        cs.count_W(even10, cs.closed_path((1,) * 10))
-    assert cs.count_W_pair(even10, cs.path_pair((1,) * 5, (1,) * 5)) == 10**8
+        cs.count_W(even10, cs.ClosedPath((1,) * 10))
+    assert cs.count_W_pair(even10, cs.PathPair((1,) * 5, (1,) * 5)) == 10**8
     with pytest.raises(ResourceError):
-        cs.count_W_pair(even10, cs.path_pair((1,) * 6, (1,) * 6))
+        cs.count_W_pair(even10, cs.PathPair((1,) * 6, (1,) * 6))
 
 
 def test_expect_omega_equals_count_w(even5):
-    path = cs.closed_path((1, 2, 1))
+    path = cs.ClosedPath((1, 2, 1))
     val = cs.expect_omega(even5, path, MODE_ALL_MAPS)
     assert val.imag == 0
     assert val.real == pytest.approx(5, abs=1e-9)
@@ -352,7 +361,7 @@ def test_expect_omega_equals_count_w(even5):
 
 def test_expect_omega_constant_walk(even5):
     # every factor is <s(1), s(1)> = n
-    val = cs.expect_omega(even5, cs.closed_path((1, 1, 1)), MODE_ALL_MAPS)
+    val = cs.expect_omega(even5, cs.ClosedPath((1, 1, 1)), MODE_ALL_MAPS)
     assert val == pytest.approx(25)
 
 
@@ -361,7 +370,7 @@ def test_expect_omega_injective_gap_shrinks(even5, even7):
     for code in (even5, even7):
         rel = []
         for labels in ((1, 2, 1, 3, 1), (1, 2, 3, 2, 1)):
-            path = cs.closed_path(labels)
+            path = cs.ClosedPath(labels)
             e_all = cs.expect_omega(code, path, MODE_ALL_MAPS)
             e_inj = cs.expect_omega(code, path, MODE_INJECTIVE)
             gap = abs(e_inj - e_all)
@@ -374,20 +383,20 @@ def test_expect_omega_injective_gap_shrinks(even5, even7):
 
 def test_expect_omega_mode_validation(even5):
     with pytest.raises(ParameterError):
-        cs.expect_omega(even5, cs.closed_path((1, 2, 1)), "sometimes")
+        cs.expect_omega(even5, cs.ClosedPath((1, 2, 1)), "sometimes")
 
 
 def test_expect_omega_budget():
     big = cs.make_gold(5)  # N = 1024 makes N^v blow past the budget at v=4
     with pytest.raises(ResourceError):
-        cs.expect_omega(big, cs.closed_path((1, 2, 3, 4, 1)), MODE_ALL_MAPS)
+        cs.expect_omega(big, cs.ClosedPath((1, 2, 3, 4, 1)), MODE_ALL_MAPS)
 
 
 def test_expect_omega_refuses_possible_int64_overflow():
     # N^v * l * n = 4000 is within budget, but N^v * n^l = 4e20 is past int64
     repetition = cs.LinearCode(q=2, generator=np.ones((1, 100), dtype=int))
     with pytest.raises(ResourceError):
-        cs.expect_omega(repetition, cs.closed_path((1, 2) * 5 + (1,)), MODE_ALL_MAPS)
+        cs.expect_omega(repetition, cs.ClosedPath((1, 2) * 5 + (1,)), MODE_ALL_MAPS)
 
 
 def test_paths_audit_l2(even5):
@@ -406,7 +415,7 @@ def test_paths_audit_l2(even5):
 @settings(max_examples=60, deadline=None)
 @given(small_codes(), walk_labels(1, 5))
 def test_count_w_matches_oracle_on_small_codes(code, labels):
-    path = cs.closed_path(labels)
+    path = cs.ClosedPath(labels)
     assert cs.count_W(code, path) == naive_count_w(code, path.labels)
 
 
@@ -416,7 +425,7 @@ def test_count_w_pair_matches_oracle_on_small_codes(code, ell, data):
     labels1 = data.draw(walk_labels(ell, ell))
     offset = data.draw(st.sampled_from([0, 1, 3]))  # 3 makes v_meet = 0
     labels2 = data.draw(walk_labels(ell, ell))
-    pair = cs.path_pair(labels1, tuple(x + offset for x in labels2))
+    pair = cs.PathPair(labels1, tuple(x + offset for x in labels2))
     drop = data.draw(st.one_of(st.none(), st.integers(1, pair.v_union)))
     expected = naive_count_w(code, pair.labels1, pair.labels2, drop_vertex=drop)
     assert cs.count_W_pair(code, pair, drop_vertex=drop) == expected
@@ -435,7 +444,7 @@ def orbit_images(labels1, labels2):
     images = set()
     for r, s in itertools.product(range(ell), repeat=2):
         a, b = rotate(labels1, r), rotate(labels2, s)
-        for pair in (cs.path_pair(a, b), cs.path_pair(b, a)):
+        for pair in (cs.PathPair(a, b), cs.PathPair(b, a)):
             images.add((pair.labels1, pair.labels2))
     return images
 
@@ -450,9 +459,9 @@ def test_count_w_pair_swap_identity(code, ell, data):
     offset = data.draw(st.sampled_from([0, 1, 3]))
     labels2 = tuple(x + offset for x in data.draw(walk_labels(ell, ell)))
     r, s = data.draw(st.integers(0, ell - 1)), data.draw(st.integers(0, ell - 1))
-    pair = cs.path_pair(labels1, labels2)
-    swapped = cs.path_pair(labels2, labels1)
-    rotated = cs.path_pair(rotate(labels1, r), rotate(labels2, s))
+    pair = cs.PathPair(labels1, labels2)
+    swapped = cs.PathPair(labels2, labels1)
+    rotated = cs.PathPair(rotate(labels1, r), rotate(labels2, s))
     expected = cs.count_W_pair(code, pair)
     assert cs.count_W_pair(code, swapped) == expected
     assert cs.count_W_pair(code, rotated) == expected
@@ -476,11 +485,11 @@ def test_paths_audit_counts_one_pair_per_orbit(monkeypatch, ell, orbits):
 
 
 def test_enumerated_pairs_are_jointly_canonical():
-    # enumerate_pair_classes skips PathPair's validation
+    # enumerate_pair_classes skips PathPair's canonicalization
     for ell in range(1, 5):
         for simple in (True, False):
             for pair in cs.enumerate_pair_classes(ell, simple):
-                assert pair == cs.path_pair(pair.labels1, pair.labels2)
+                assert pair == cs.PathPair(pair.labels1, pair.labels2)
 
 
 @pytest.mark.parametrize("code,lengths", [
@@ -501,17 +510,17 @@ def test_paths_audit_pair_counts_hold_across_orbits(code, lengths):
         fresh = {}
         for rec in cs.paths_audit(code, ell)["pairs"]:
             labels1, labels2 = tuple(rec["labels1"]), tuple(rec["labels2"])
-            pair = cs.path_pair(labels1, labels2)
+            pair = cs.PathPair(labels1, labels2)
             assert (rec["v_union"], rec["v_meet"]) == (pair.v_union, pair.v_meet)
             for labels in (labels1, labels2):
-                path = cs.closed_path(labels)
+                path = cs.ClosedPath(labels)
                 if path not in walk_w:
                     walk_w[path] = cs.count_W(code, path)
-            assert rec["W1_times_W2"] == (walk_w[cs.closed_path(labels1)]
-                                          * walk_w[cs.closed_path(labels2)])
+            assert rec["W1_times_W2"] == (walk_w[cs.ClosedPath(labels1)]
+                                          * walk_w[cs.ClosedPath(labels2)])
             for key in orbit_images(labels1, labels2):
                 if key not in fresh:
-                    fresh[key] = cs.count_W_pair(code, cs.path_pair(*key))
+                    fresh[key] = cs.count_W_pair(code, cs.PathPair(*key))
                 assert rec["W_pair"] == fresh[key]
 
 
@@ -564,6 +573,20 @@ def test_elimination_needs_distinct_columns(q, gen, eliminates):
     assert AuditOperands(code).eliminates == eliminates
 
 
+def test_columns_beyond_63_rows_compare_and_count_unpacked():
+    # a [66, 64] binary code whose column 64 repeats column 0: too many rows
+    # to pack into int64, so the columns are compared as bytes and the
+    # vertex tensors built row by row
+    eye = np.eye(64, dtype=int)
+    code = cs.LinearCode(q=2, generator=np.hstack(
+        [eye, eye[:, :1], np.ones((64, 1), dtype=int)]))
+    ops = AuditOperands(code)
+    assert not ops.eliminates
+    for path in cs.enumerate_closed_classes(2, simple=False):
+        assert cs.count_W(code, path, operands=ops) == naive_count_w(
+            code, path.labels)
+
+
 @pytest.mark.parametrize("code", [TERNARY, TERNARY_PROPORTIONAL, TERNARY_REPEATED],
                          ids=["distinct", "proportional", "repeated"])
 def test_ternary_counts_match_oracle(code):
@@ -592,7 +615,7 @@ def test_code_independent_checks_hold_on_repeated_columns(code):
 
 def test_operands_of_another_code_are_refused(even5, even7):
     with pytest.raises(ParameterError):
-        cs.count_W(even5, cs.closed_path((1, 2, 1)), operands=AuditOperands(even7))
+        cs.count_W(even5, cs.ClosedPath((1, 2, 1)), operands=AuditOperands(even7))
 
 
 # sha256 of json.dumps(paths_audit(code, l), sort_keys=True).  Binary audits
@@ -639,7 +662,7 @@ def test_paths_audit_command_writes_the_pinned_audit(tmp_path, capsys):
 @settings(max_examples=40, deadline=None)
 @given(small_codes(), walk_labels(1, 4))
 def test_expect_omega_matches_oracle_on_small_codes(code, labels):
-    path = cs.closed_path(labels)
+    path = cs.ClosedPath(labels)
     for mode, injective in ((MODE_ALL_MAPS, False), (MODE_INJECTIVE, True)):
         if injective and path.v > code.N:
             continue
@@ -658,4 +681,4 @@ def test_paths_audit_more_vertices_than_codewords():
         assert (rec["expectation_injective"] is None) == (rec["v"] > code.N)
     assert audit["checks"]["character_sum_ok"]
     with pytest.raises(ParameterError):
-        cs.expect_omega(code, cs.closed_path(crowded[0]["labels"]), MODE_INJECTIVE)
+        cs.expect_omega(code, cs.ClosedPath(crowded[0]["labels"]), MODE_INJECTIVE)

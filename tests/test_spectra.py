@@ -1,5 +1,6 @@
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,19 +83,32 @@ def test_eig_trace_and_frobenius_invariants():
     assert (eigs**2).sum() == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-9)
 
 
+def _assert_eig_oracles(h):
+    """eig_hermitian against numpy, against LAPACK's MRRR driver through
+    scipy, and, for small matrices, against mpmath at 30 digits: oracles
+    that stay independent once the solver itself calls LAPACK."""
+    eigs = cs.eig_hermitian(h)
+    assert eigs == pytest.approx(np.linalg.eigvalsh(h), abs=1e-10)
+    assert eigs == pytest.approx(eigh(h, eigvals_only=True, driver="evr"), abs=1e-10)
+    if len(h) <= 6:
+        with mpmath.workdps(30):
+            exact = (mpmath.eigsy if np.isrealobj(h) else mpmath.eighe)(
+                mpmath.matrix(h.tolist()), eigvals_only=True)
+            exact = sorted(float(mpmath.re(x)) for x in exact)
+        assert np.abs(eigs - exact).max() <= 1e-12
+
+
 @pytest.mark.parametrize("size", [2, 5, 17, 50])
 def test_eig_matches_numpy_oracle(size):
     rng = np.random.default_rng(size)
     x = rng.standard_normal((size, size))
-    h = (x + x.T) / 2
-    assert cs.eig_hermitian(h) == pytest.approx(np.linalg.eigvalsh(h), abs=1e-10)
+    _assert_eig_oracles((x + x.T) / 2)
 
 
 def test_eig_complex_hermitian_embedding():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (x + x.conj().T) / 2
-    assert cs.eig_hermitian(h) == pytest.approx(np.linalg.eigvalsh(h), abs=1e-10)
+    _assert_eig_oracles((x + x.conj().T) / 2)
 
 
 def test_eig_almost_hermitian_complex_input():
