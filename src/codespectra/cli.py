@@ -14,11 +14,11 @@ Each subcommand accepts the code selector (--code with --m, --n or --file),
                exact audit of the closed-walk counting identities
 
 Defaults live in ExperimentConfig alone.  Every emitted JSON embeds the
-resolved config and sha256 checksums of the artifact files, so identical
-(config, seed) runs are byte-comparable.  The JSON is compact (one line,
-sorted keys, no indentation), which lets the stdlib encode it in C, and
-still byte-identical for the same (config, seed); `main` prints the same
-text it writes to the file.
+resolved config and sha256 checksums of the artifact files, each hashed from
+the bytes written, so identical (config, seed) runs are byte-comparable.
+The JSON is compact (one line, sorted keys, no indentation), which lets the
+stdlib encode it in C, and still byte-identical for the same (config,
+seed); `main` prints the same text it writes to the file.
 Exit codes: 0 ok, 2 parameter error (an argparse usage error included), 3
 resource (budget) error, 4 an internal contract or convergence failure (see
 errors.py).
@@ -102,10 +102,6 @@ def resolve_code(cfg: ExperimentConfig) -> LinearCode:
         raise ParameterError(f"cannot read --file {value}: {exc}") from None
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _histogram(eigs: np.ndarray, bins: int, law: LawSpec):
     lo_s, hi_s = law.support
     lo = min(float(np.min(eigs)), lo_s)
@@ -177,21 +173,23 @@ def _run_esd_experiment(
     for r in range(cfg.repeats):
         sig = sample_codewords(code, p, mode, cfg.seed, stream_index=r)
         summary = summarize(sig, law, centered=centered, ell_max=cfg.lmax)
-        eigs = np.array(summary.eigenvalues)
-
-        eig_path = out_dir / f"eigs_r{r:02d}.csv"
-        np.savetxt(eig_path, eigs, fmt="%.17g", header="lambda", comments="")
+        eigs = summary.eigenvalues
         edges, dens = _histogram(eigs, cfg.bins, law)
-        hist_path = out_dir / f"hist_r{r:02d}.csv"
-        np.savetxt(hist_path, np.column_stack([edges[:-1], edges[1:], dens]),
-                   fmt="%.17g", delimiter=",", header="bin_left,bin_right,density",
-                   comments="")
-        svg_path = out_dir / f"esd_r{r:02d}.svg"
         title = (f"{code.label}  p={p}  law={law.kind}"
                  + (f"(y={law.y:g})" if law.y is not None else ""))
-        render_histogram_svg(svg_path, edges, dens, law, title)
-        for f in (eig_path, hist_path, svg_path):
-            artifacts[f.name] = _sha256(f)
+        # the CSVs hold the text np.savetxt(fmt="%.17g") would write
+        texts = {
+            f"eigs_r{r:02d}.csv": "lambda\n" + "".join(
+                "%.17g\n" % x for x in eigs.tolist()),
+            f"hist_r{r:02d}.csv": "bin_left,bin_right,density\n" + "".join(
+                "%.17g,%.17g,%.17g\n" % row
+                for row in zip(edges[:-1].tolist(), edges[1:].tolist(), dens.tolist())),
+            f"esd_r{r:02d}.svg": render_histogram_svg(edges, dens, law, title),
+        }
+        for name, text in texts.items():
+            data = text.encode()
+            (out_dir / name).write_bytes(data)
+            artifacts[name] = hashlib.sha256(data).hexdigest()
 
         per_repeat.append({
             "stream_index": r,

@@ -80,7 +80,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .codes import LinearCode, char_map, codewords, pack_columns
+from .codes import LinearCode, char_map, codewords
 from .errors import ParameterError, ResourceError
 
 MAX_LENGTH = 10
@@ -387,23 +387,29 @@ def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOper
 
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
-    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q.  Binary columns that
-    pack into int64 (k <= 63) are compared by XOR."""
-    if code.q == 2 and code.k <= 63:
-        packed = pack_columns(code)
-        cols = packed.astype(np.min_scalar_type(int(packed.max())))
-        acc = cols
-        for _ in coeffs[1:]:
-            acc = acc[..., None] ^ cols
-        return np.equal(acc, 0, out=np.empty(acc.shape, np.int32))
-    ok = np.ones((code.n,) * len(coeffs), dtype=bool)
-    for row in code.generator.astype(np.min_scalar_type(code.q**2)):
-        terms = [c * row % code.q for c in coeffs]
+    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q, built one row at a time.
+    A binary code's rows are its columns packed into words of up to 64
+    generator rows, each in the smallest unsigned type that holds it, summed
+    by XOR (every coefficient is 1), so k <= 64 takes one pass."""
+    q = code.q
+    if q == 2:
+        bits = np.pad(code.generator.astype(np.uint8), ((0, -code.k % 64), (0, 0)))
+        octets = np.packbits(bits, axis=0, bitorder="little")
+        rows = [w.astype(np.min_scalar_type(int(w.max())))
+                for w in np.ascontiguousarray(octets.T).view("<u8").T]
+    else:
+        rows = code.generator.astype(np.min_scalar_type(q**2))
+    ok = None
+    for row in rows:
+        terms = [row] * len(coeffs) if q == 2 else [c * row % q for c in coeffs]
         acc = terms[0]
         for term in terms[1:]:
-            acc = (acc[..., None] + term) % code.q
-        ok &= acc == 0
-    return ok.astype(np.int32)
+            acc = acc[..., None] ^ term if q == 2 else (acc[..., None] + term) % q
+        if ok is None:
+            ok = np.equal(acc, 0, out=np.empty(acc.shape, np.int32))
+        else:
+            ok &= acc == 0
+    return ok
 
 
 def _contract(terms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
@@ -608,13 +614,10 @@ def paths_audit(code: LinearCode, length: int) -> dict:
     ratios = [
         r["W"] / n ** (r["l"] - r["v"]) for r in other
     ]
-    char_ok = True
-    for r in records:
-        if r["expectation_all"] is None:
-            continue
-        re, im = r["expectation_all"]
-        if abs(im) > 1e-9 * max(1.0, abs(re)) or abs(re - r["W"]) > 1e-6:
-            char_ok = False
+    compared = [(r["W"], *r["expectation_all"]) for r in records
+                if r["expectation_all"] is not None]
+    char_ok = not any(abs(im) > 1e-9 * max(1.0, abs(re)) or abs(re - w) > 1e-6
+                      for w, re, im in compared) if compared else None
 
     checks = {
         "lemma1_exact_ok": lemma1_exact_ok,

@@ -143,14 +143,14 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
 def ks_statistic(eigs: np.ndarray, law) -> float:
     """sup-norm distance between the ESD and a continuous law CDF.
 
-    Exact at the empirical jump points: max over j of
-    max(|j/p - F(lambda_j)|, |(j-1)/p - F(lambda_j)|).
+    Exact at the empirical jump points of the ascending eigenvalues, with F
+    from one call on the array: max_j max(|j/p - F_j|, |(j-1)/p - F_j|).
     """
     eigs = np.asarray(eigs, dtype=float)
     p = eigs.size
     if p == 0:
         raise ParameterError("need at least one eigenvalue")
-    f = np.array([law.cdf(float(x)) for x in eigs])
+    f = law.cdf(eigs)
     j = np.arange(1, p + 1)
     return float(np.maximum(np.abs(j / p - f), np.abs((j - 1) / p - f)).max())
 
@@ -175,7 +175,7 @@ def trace_moments(h: np.ndarray, ell_max: int) -> list[tuple[int, float]]:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
     ks_to_law: float
     moments: tuple[tuple[int, float], ...]
 
@@ -188,7 +188,7 @@ def summarize(
     h = center_scale(g, sig.n, sig.p) if centered else g
     eigs = eig_hermitian(h)
     return SpectralSummary(
-        eigenvalues=tuple(float(x) for x in eigs),
+        eigenvalues=eigs,
         ks_to_law=ks_statistic(eigs, law),
         moments=tuple(trace_moments(h, ell_max)),
     )

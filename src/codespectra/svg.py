@@ -2,12 +2,10 @@
 
 No plotting dependency; the output is plain XML with axis lines, bars,
 the density polyline over the full law support, and dashed support-edge
-markers.
+markers.  The renderer returns the text and writes no file.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +19,12 @@ def _esc(text: str) -> str:
 
 
 def render_histogram_svg(
-    path: str | Path,
     bin_edges: np.ndarray,
     densities: np.ndarray,
     law,
     title: str,
-) -> None:
+) -> str:
+    """The SVG text; the density curve is one `law.pdf` call on its points."""
     bin_edges = np.asarray(bin_edges, dtype=float)
     densities = np.asarray(densities, dtype=float)
     lo_s, hi_s = law.support
@@ -37,7 +35,7 @@ def render_histogram_svg(
     x_max += pad
 
     xs = np.linspace(lo_s, hi_s, CURVE_POINTS)
-    curve = np.array([law.pdf(float(x)) for x in xs])
+    curve = law.pdf(xs)
     y_max = 1.1 * max(float(densities.max(initial=0.0)), float(curve.max()), 1e-9)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -111,4 +109,4 @@ def render_histogram_svg(
         )
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

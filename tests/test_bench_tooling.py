@@ -99,11 +99,13 @@ def test_cli_calls_traced_layers(monkeypatch, tmp_path):
     _count_calls(monkeypatch, cli, ("make_gold", "sample_codewords", "summarize",
                                     "render_histogram_svg", "code_report",
                                     "paths_audit"), calls)
+    # the traced mode counts LawSpec.cdf calls: KS makes one per repeat
+    _count_calls(monkeypatch, laws.LawSpec, ("cdf",), calls)
     common = {"code": "gold", "m": 5, "seed": 3}
     cli.cmd_spectrum(cli.ExperimentConfig(
         "spectrum", p=8, repeats=2, out=str(tmp_path / "s"), **common))
     assert calls == {"make_gold": 1, "sample_codewords": 2, "summarize": 2,
-                     "render_histogram_svg": 2}
+                     "render_histogram_svg": 2, "cdf": 2}
     # moments calls the spectra kernels directly, where the traced mode
     # patches them, and never eigensolves
     kernels = {}
@@ -115,4 +117,5 @@ def test_cli_calls_traced_layers(monkeypatch, tmp_path):
     cli.cmd_paths_audit(cli.ExperimentConfig(
         "paths-audit", code="gold", m=5, lmax=2, out=str(tmp_path / "p")))
     assert calls == {"make_gold": 3, "sample_codewords": 4, "summarize": 2,
-                     "render_histogram_svg": 2, "code_report": 1, "paths_audit": 1}
+                     "render_histogram_svg": 2, "cdf": 2, "code_report": 1,
+                     "paths_audit": 1}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -55,7 +56,8 @@ def test_spectrum_artifacts_and_summary(tmp_path):
 
     checks = summary["artifacts"]
     assert len(checks) == 9
-    assert all(len(h) == 64 for h in checks.values())
+    for name, digest in checks.items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk == summary
 
@@ -223,8 +225,10 @@ def test_code_info_ratio_beyond_float_range(tmp_path, capsys):
 
 
 def test_paths_audit_audits_k_over_63(tmp_path, capsys):
-    # 64 rows do not pack into int64, so the columns are compared and the
-    # vertex tensors built unpacked; the double trees still count n^(l-v+1)
+    # 64 rows pack into one uint64 word per column, so the vertex tensors
+    # take one XOR pass; the double trees still count n^(l-v+1).  N = 2^64
+    # is over the expectation budget, so no class has an expectation and the
+    # character-sum check, with nothing to compare, reads None
     rc = run_main(["paths-audit", "--code", "even", "--n", "65",
                    "--lmax", "2", "--out", str(tmp_path / "x")])
     assert rc == 0
@@ -235,7 +239,8 @@ def test_paths_audit_audits_k_over_63(tmp_path, capsys):
     assert audit["pairs"] is not None
     oks = {name: value for name, value in audit["checks"].items()
            if name.endswith("_ok")}
-    assert len(oks) == 6 and all(value is True for value in oks.values())
+    assert oks.pop("character_sum_ok") is None
+    assert len(oks) == 5 and all(value is True for value in oks.values())
 
 
 def test_code_info_from_file(tmp_path):

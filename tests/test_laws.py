@@ -97,13 +97,64 @@ def test_mp_cdf_matches_mpmath_quadrature(y):
 
 def test_cdfs_nondecreasing_on_dense_grid():
     xs = np.linspace(-2.2, 2.2, 10_000)
-    sc = np.array([cs.sc_cdf(float(x)) for x in xs])
-    assert (np.diff(sc) >= 0).all()
+    assert (np.diff(cs.sc_cdf(xs)) >= 0).all()
     for y in (0.3, 0.7):
         a, b = mp_support(y)
         grid = np.linspace(a - 0.1, b + 0.1, 10_000)
-        mp = np.array([cs.mp_cdf(float(x), y) for x in grid])
-        assert (np.diff(mp) >= -1e-12).all()
+        assert (np.diff(cs.mp_cdf(grid, y)) >= -1e-12).all()
+
+
+def _mpmath_laws(y):
+    """Density and CDF at 30 digits: the semicircle for y None, else the
+    Marchenko-Pastur law on the float support mp_support(y)."""
+    if y is None:
+        def pdf(t):
+            return mpmath.sqrt(4 - t * t) / (2 * mpmath.pi) if -2 < t < 2 else 0
+
+        def cdf(t):
+            t = min(max(t, mpmath.mpf(-2)), mpmath.mpf(2))
+            return (mpmath.mpf(1) / 2 + t * mpmath.sqrt(4 - t * t) / (4 * mpmath.pi)
+                    + mpmath.asin(t / 2) / mpmath.pi)
+        return pdf, cdf
+    lo, hi = (mpmath.mpf(e) for e in mp_support(y))
+
+    def pdf(t):
+        return (mpmath.sqrt((hi - t) * (t - lo)) / (2 * mpmath.pi * t * y)
+                if lo < t < hi else 0)
+
+    def cdf(t):
+        return 0 if t <= lo else 1 if t >= hi else mpmath.quad(pdf, [lo, t])
+    return pdf, cdf
+
+
+@pytest.mark.parametrize("y", [None, 0.05, 0.5])
+def test_laws_take_arrays_and_match_mpmath(y):
+    law = LawSpec("sc") if y is None else LawSpec("mp", y)
+    a, b = law.support
+    xs = [-3.0, -1.0, 0.0, a - 0.1, a, a + 1e-9, (a + b) / 2, 0.5, 1.7,
+          b - 1e-9, b, b + 0.5]
+    if y == 0.05:
+        xs.append(1.308483)  # the point where an adaptive-quadrature CDF was off
+    grid = np.linspace(a - 0.5, b + 0.5, 1001)
+    ref_pdf, ref_cdf = _mpmath_laws(y)
+    for law_fn, ref in ((law.pdf, ref_pdf), (law.cdf, ref_cdf)):
+        # bitwise the scalar values, in the shape of the input
+        for points in (np.array(xs), grid.reshape(7, 143)):
+            values = law_fn(points)
+            assert values.shape == points.shape
+            scalars = np.array([law_fn(float(x)) for x in points.ravel()])
+            assert values.tobytes() == scalars.reshape(points.shape).tobytes()
+        with mpmath.workdps(30):
+            want = [float(ref(mpmath.mpf(x))) for x in xs]
+        assert np.abs(law_fn(np.array(xs)) - want).max() <= 2e-15
+
+
+@pytest.mark.parametrize("y", [0.05, 0.5, 0.99])
+def test_mp_laws_at_nonpositive_x_raise_no_float_error(y):
+    xs = np.array([-1.0, -0.0, 0.0])
+    with np.errstate(all="raise"):
+        assert (cs.mp_pdf(xs, y) == 0).all() and (cs.mp_cdf(xs, y) == 0).all()
+        assert cs.mp_pdf(0.0, y) == 0.0 and cs.mp_cdf(0.0, y) == 0.0
 
 
 def test_mp_rejects_bad_aspect():

@@ -574,9 +574,9 @@ def test_elimination_needs_distinct_columns(q, gen, eliminates):
 
 
 def test_columns_beyond_63_rows_compare_and_count_unpacked():
-    # a [66, 64] binary code whose column 64 repeats column 0: too many rows
-    # to pack into int64, so the columns are compared as bytes and the
-    # vertex tensors built row by row
+    # a [66, 64] binary code whose column 64 repeats column 0: the columns
+    # are compared as bytes, and the vertex tensors take one pass over the
+    # uint64 words that hold all 64 rows
     eye = np.eye(64, dtype=int)
     code = cs.LinearCode(q=2, generator=np.hstack(
         [eye, eye[:, :1], np.ones((64, 1), dtype=int)]))
@@ -585,6 +585,21 @@ def test_columns_beyond_63_rows_compare_and_count_unpacked():
     for path in cs.enumerate_closed_classes(2, simple=False):
         assert cs.count_W(code, path, operands=ops) == naive_count_w(
             code, path.labels)
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 66, 130])
+def test_vertex_tensors_match_columns_for_every_word_count(n):
+    # binary rows pack into 64-bit words: k = n - 1 takes one word up to
+    # k = 64 and two or three beyond
+    code = cs.make_even_weight(n)
+    g = code.generator.astype(np.uint8)
+    for degree in (1, 2, 3) if n <= 66 else (1, 2):
+        # sums[r, j_1, ..., j_d] = g[r, j_1] + ... + g[r, j_d]
+        sums = sum(g.reshape((code.k,) + (1,) * i + (n,) + (1,) * (degree - 1 - i))
+                   for i in range(degree))
+        tensor = paths._vertex_tensor(code, (1,) * degree)
+        assert tensor.dtype == np.int32
+        assert (tensor == ~(sums % 2).any(axis=0)).all()
 
 
 @pytest.mark.parametrize("code", [TERNARY, TERNARY_PROPORTIONAL, TERNARY_REPEATED],
@@ -633,6 +648,7 @@ AUDIT_SHA256 = {
     ("rm1", 3, 4): "2b722086a8d272e67bf2f4f1473519dc43d0f598c28439f779ceb661bf64986c",
     ("tern", 4, 5): "e9e994157bb1750258a17973e61148667c7dcd17a6c8b4e853de3651ce446f93",
     ("tern", 6, 3): "5848a20f7207804bb227214fbcb4cc419249e5db9b3ab4d74e02f7fb39dd7b78",
+    ("even", 65, 2): "52b1dbe1f79ad66ec460ea49c2b9cbebc93d341df96f1023ef2c441c9aa4366a",
 }
 
 
