@@ -7,7 +7,6 @@ from .codes import (
     char_map,
     code_report,
     codewords,
-    dual_distance_status,
     encode,
     load_generator,
     make_even_weight,

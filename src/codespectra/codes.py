@@ -209,16 +209,17 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
 
     Message index i stands for the message whose entries are the base-q
     digits of i, least significant first.  Indices are taken in uint64, so
-    every index below min(N, 2^64) decodes.  For a binary code with k <= 63
-    the bits of i are the message, and coordinate j of its codeword is the
-    parity of i AND (column j packed as k bits); other codes decode digit
-    by digit and multiply by the generator.
+    every index below min(N, 2^64) decodes.  For a binary code the bits of
+    i are the message, and coordinate j of its codeword is the parity of
+    i AND the first word of column j (`_column_words`), since i has no bit
+    past 63; other codes decode digit by digit and multiply by the
+    generator.
     """
     idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    if code.q == 2 and code.k <= 63:
-        if (idx >> code.k).any():
+    if code.q == 2:
+        if code.k < 64 and (idx >> code.k).any():
             raise ParameterError(f"message index beyond the N = {code.N} codewords")
-        words = idx[:, None] & pack_columns(code).astype(np.uint64)
+        words = idx[:, None] & _column_words(code)[0]
         np.bitwise_count(words, out=words)
         words &= 1
         return words.view(np.int64)
@@ -230,6 +231,18 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
         raise ParameterError(f"message index beyond the N = {code.N} codewords")
     words = digits @ code.generator
     return np.remainder(words, code.q, out=words)
+
+
+def _column_words(code: LinearCode) -> np.ndarray:
+    """A binary generator's columns packed into uint64 words, one row of n
+    words per block of 64 generator rows: bit i of word row r is generator
+    row 64 r + i.  Each word row is the int64 powers of two @ its block,
+    viewed as uint64; the bits are distinct, so the sum is exact even with
+    bit 63 (the int64 sign)."""
+    bits = np.int64(1) << np.arange(64, dtype=np.int64)
+    gen = code.generator
+    blocks = [gen[r:r + 64] for r in range(0, code.k, 64)]
+    return np.array([bits[:len(block)] @ block for block in blocks]).view(np.uint64)
 
 
 def char_map(word, q: int) -> np.ndarray:
@@ -281,21 +294,6 @@ def load_generator(path: str | Path) -> LinearCode:
     return parse_generator(p.read_text(), label=p.name)
 
 
-def pack_columns(code: LinearCode) -> np.ndarray:
-    """Binary generator columns as k-bit integers (one per coordinate).
-
-    The integers are int64, so k is limited to 63.
-    """
-    if code.q != 2:
-        raise ParameterError("column packing is defined for binary codes only")
-    if code.k > 63:
-        raise ParameterError(
-            f"column packing holds at most 63 rows, got k={code.k}"
-        )
-    bit_values = np.int64(1) << np.arange(code.k, dtype=np.int64)
-    return bit_values @ code.generator
-
-
 @dataclass(frozen=True)
 class DualDistanceStatus:
     """Exact dual distance, or the lower bound searched + 1: no dual
@@ -310,27 +308,6 @@ class DualDistanceStatus:
         if self.exact is not None:
             return f"={self.exact}"
         return f">={self.searched + 1}"
-
-
-def dual_distance_status(code: LinearCode, bound: int) -> DualDistanceStatus:
-    """Smallest linearly dependent generator-column set, up to `bound`.
-
-    That is the dual code's minimum distance, read off the weight
-    distribution of all N codewords through the MacWilliams identities
-    (`_dual_distance_from_weights`), so it is refused with ResourceError
-    beyond SPECTRUM_BUDGET, before anything is computed.  Returns the exact
-    value when it is <= bound, else ">= bound+1".  This ignores a
-    `known_dual_distance`; `code_report` is the caller that trusts it.
-    """
-    if bound < 2:
-        raise ParameterError(f"bound must be >= 2, got {bound}")
-    if code.N > SPECTRUM_BUDGET:
-        raise ResourceError(
-            f"the dual distance needs the weights of all N = {code.N} "
-            f"codewords, over the budget of {SPECTRUM_BUDGET}"
-        )
-    counts, _ = _weights_exhaustive(code)
-    return _dual_distance_from_weights(counts, code.q, bound)
 
 
 def _dual_distance_from_weights(

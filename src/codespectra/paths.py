@@ -18,11 +18,11 @@ reads each degree-2 equation c (g[t_a] - g[t_b]) = 0 as t_a = t_b and
 substitutes t_a for t_b.  That keeps the solution set of the equations
 kept, so the one left out still follows from them.  Each equation left
 becomes a 0/1 tensor over its variables, with entry 1 where the weighted
-column sum vanishes mod q (for binary codes with k <= 63, where the XOR
-of the packed columns is 0).  W is the int32 contraction of these
-tensors, times n for every variable neither substituted nor constrained;
-`_count_solutions` refuses n^(number of steps) above COUNT_BUDGET, which
-keeps it exact.
+column sum vanishes mod q (for binary codes, where the XOR of the
+columns packed into 64-bit words is 0).  W is the int32 contraction of
+these tensors, times n for every variable neither substituted nor
+constrained; `_count_solutions` refuses n^(number of steps) above
+COUNT_BUDGET, which keeps it exact.
 `_contract` folds the tensors in vertex-label order, summing a variable
 out once no later tensor carries it.  Each system is folded afresh, but
 its tensors are built once per audit in the audit's `AuditOperands`:
@@ -80,7 +80,7 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .codes import LinearCode, char_map, codewords
+from .codes import LinearCode, _column_words, char_map, codewords
 from .errors import ParameterError, ResourceError
 
 MAX_LENGTH = 10
@@ -388,15 +388,12 @@ def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOper
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
     """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
     1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q, built one row at a time.
-    A binary code's rows are its columns packed into words of up to 64
-    generator rows, each in the smallest unsigned type that holds it, summed
-    by XOR (every coefficient is 1), so k <= 64 takes one pass."""
+    A binary code's rows are the word rows of `_column_words`, each cast to
+    the smallest unsigned type that holds it and summed by XOR (every
+    coefficient is 1), so k <= 64 takes one pass."""
     q = code.q
     if q == 2:
-        bits = np.pad(code.generator.astype(np.uint8), ((0, -code.k % 64), (0, 0)))
-        octets = np.packbits(bits, axis=0, bitorder="little")
-        rows = [w.astype(np.min_scalar_type(int(w.max())))
-                for w in np.ascontiguousarray(octets.T).view("<u8").T]
+        rows = [w.astype(np.min_scalar_type(int(w.max()))) for w in _column_words(code)]
     else:
         rows = code.generator.astype(np.min_scalar_type(q**2))
     ok = None

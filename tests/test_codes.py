@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codespectra as cs
-from codespectra import ContractViolationError, LinearCode, ParameterError, \
-    ResourceError
-from codespectra.codes import GENERATOR_BYTES_BUDGET, _dual_distance_from_weights, \
-    _row_rank_mod_q, pack_columns
+from codespectra import ContractViolationError, LinearCode, ParameterError
+from codespectra.codes import GENERATOR_BYTES_BUDGET, _column_words, \
+    _dual_distance_from_weights, _row_rank_mod_q, _weights_exhaustive
 
 
 def all_codewords(code):
@@ -19,6 +18,17 @@ def all_codewords(code):
     for digits in itertools.product(range(code.q), repeat=code.k):
         words.append(cs.encode(code, np.array(digits)))
     return np.array(words)
+
+
+def stripped(code):
+    """The same generator without the constructor's known fields, so
+    `code_report` reads the dual distance off the weight counts."""
+    return LinearCode(q=code.q, generator=np.asarray(code.generator))
+
+
+def dual_distance_up_to(code, bound):
+    """MacWilliams up to `bound` on the exhaustive weight counts."""
+    return _dual_distance_from_weights(_weights_exhaustive(code)[0], code.q, bound)
 
 
 def test_gold5_parameters(gold5):
@@ -146,26 +156,22 @@ def test_row_space_cardinality(even5, rm1_3):
 
 
 def test_dual_distance_gold5(gold5):
-    status = cs.dual_distance_status(gold5, 5)
-    assert status.exact == 5
-    assert status.label == "=5"
+    assert cs.code_report(stripped(gold5)).dual_distance_status == "=5"
 
 
 def test_dual_distance_gold7_budget(gold7):
     # 2^14 codewords, within SPECTRUM_BUDGET: MacWilliams finds A'_5 > 0
-    status = cs.dual_distance_status(gold7, 5)
-    assert status.exact == 5
-    assert status.label == "=5"
+    assert cs.code_report(stripped(gold7)).dual_distance_status == "=5"
     assert "analytic" in gold7.label
 
 
 def test_dual_distance_rm1(rm1_3):
-    assert cs.dual_distance_status(rm1_3, 5).label == "=4"
+    assert cs.code_report(stripped(rm1_3)).dual_distance_status == "=4"
 
 
 def test_dual_distance_even5(even5):
-    assert cs.dual_distance_status(even5, 4).label == ">=5"
-    assert cs.dual_distance_status(even5, 5).label == "=5"
+    assert dual_distance_up_to(even5, 4).label == ">=5"
+    assert dual_distance_up_to(even5, 5).label == "=5"
 
 
 @pytest.mark.parametrize("make, arg, searched", [
@@ -177,7 +183,7 @@ def test_dual_distance_even5(even5):
 ])
 def test_known_dual_distance_agrees_with_search(make, arg, searched):
     code = make(arg)
-    status = cs.dual_distance_status(code, 7)
+    status = dual_distance_up_to(code, 7)
     assert status.label == searched
     if status.exact is not None:
         assert code.known_dual_distance == status.exact
@@ -186,20 +192,25 @@ def test_known_dual_distance_agrees_with_search(make, arg, searched):
     assert cs.code_report(code).dual_distance_status == f"={code.known_dual_distance}"
 
 
-def test_dual_distance_rejects_k_over_63():
-    # N = 2^65 and 2^63 are over SPECTRUM_BUDGET: refused, not wrapped
+def test_dual_distance_over_the_budget_is_uncertified():
+    # N = 2^65 and 2^63 are over SPECTRUM_BUDGET: with their weight sets
+    # but without their dual distance, the reports certify none
     for n in (66, 64):
-        with pytest.raises(ResourceError):
-            cs.dual_distance_status(cs.make_even_weight(n), 3)
+        base = cs.make_even_weight(n)
+        code = LinearCode(q=2, generator=np.asarray(base.generator),
+                          known_weights=base.known_weights)
+        rep = cs.code_report(code)
+        assert rep.method == "structural"
+        assert rep.dual_distance_status == ">=1"
 
 
 def test_dual_distance_monotone(even5, rm1_3, gold5):
     for code in (even5, rm1_3, gold5):
-        exact = cs.dual_distance_status(code, 7).exact
+        exact = dual_distance_up_to(code, 7).exact
         if exact is None:
             continue
         for bound in range(exact, 8):
-            assert cs.dual_distance_status(code, bound).exact == exact
+            assert dual_distance_up_to(code, bound).exact == exact
 
 
 def test_dual_distance_brute_force_oracle(even5, rm1_3):
@@ -220,7 +231,7 @@ def test_dual_distance_brute_force_oracle(even5, rm1_3):
             if found:
                 break
         assert found == expected
-        assert cs.dual_distance_status(code, 6).exact == expected
+        assert cs.code_report(stripped(code)).dual_distance_status == f"={expected}"
 
 
 def test_inner_product_identity_binary(even5):
@@ -409,10 +420,9 @@ def _min_dependent_columns(code, bound):
 @settings(max_examples=150, deadline=None)
 @given(small_codes(max_n=12))
 def test_dual_distance_matches_dependent_column_oracle(code):
-    status = cs.dual_distance_status(code, 5)
-    assert status.exact == _min_dependent_columns(code, 5)
-    if status.exact is None:
-        assert status.label == ">=6"
+    found = _min_dependent_columns(code, 5)
+    label = cs.code_report(stripped(code)).dual_distance_status
+    assert label == (">=6" if found is None else f"={found}")
 
 
 @pytest.mark.parametrize("counts", [
@@ -434,36 +444,27 @@ def test_sampled_report_refuses_more_than_2_64_codewords():
 
 def test_sampled_report_refusal_precedes_dual_distance_search(monkeypatch):
     # ternary [42, 41]: N = 3^41 > 2^64 and no known weights, so the report
-    # must refuse before spending time on the dual distance
-    def no_search(code, bound):
-        raise AssertionError("dual-distance search started")
+    # must refuse before any weight work, exhaustive or sampled
+    def no_weights(code):
+        raise AssertionError("weight work started")
 
-    monkeypatch.setattr(cs.codes, "dual_distance_status", no_search)
+    monkeypatch.setattr(cs.codes, "_weights_exhaustive", no_weights)
+    monkeypatch.setattr(cs.codes, "_weights_sampled", no_weights)
     gen = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
     with pytest.raises(ParameterError, match=f"N = {3**41}"):
         cs.code_report(LinearCode(q=3, generator=gen))
 
 
-def test_dual_distance_subset_search_is_bounded_by_work():
-    # ternary [42, 41]: N = 3^41 is over SPECTRUM_BUDGET, refused at once
-    gen = np.hstack([np.eye(41, dtype=int), np.ones((41, 1), dtype=int)])
-    code = LinearCode(q=3, generator=gen)
-    with pytest.raises(ResourceError, match=f"N = {3**41}"):
-        cs.dual_distance_status(code, 5)
-
-
-def test_dual_distance_pair_budget():
-    # shipped generators with the known fields stripped: RM(1) of length
-    # 2048 and 8192 has at most 2^14 codewords and gets the exact value;
-    # Gold m=13 has 2^26, over SPECTRUM_BUDGET
+def test_stripped_shipped_codes_dual_distance():
+    # shipped generators with the known dual distance stripped: RM(1) of
+    # length 2048 and 8192 has at most 2^14 codewords and gets the exact
+    # value; Gold m=13 has 2^26, over SPECTRUM_BUDGET, and certifies none
     for m in (11, 13):
-        rm = cs.make_rm1(m)
-        code = LinearCode(q=2, generator=np.asarray(rm.generator), label="blob")
-        assert cs.code_report(code).dual_distance_status == "=4"
+        assert cs.code_report(stripped(cs.make_rm1(m))).dual_distance_status == "=4"
     g13 = cs.make_gold(13)
-    code = LinearCode(q=2, generator=np.asarray(g13.generator), label="blob")
-    with pytest.raises(ResourceError):
-        cs.dual_distance_status(code, 5)
+    code = LinearCode(q=2, generator=np.asarray(g13.generator),
+                      known_weights=g13.known_weights)
+    assert cs.code_report(code).dual_distance_status == ">=1"
 
 
 def test_code_report_sampled_path():
@@ -477,11 +478,19 @@ def test_code_report_sampled_path():
     assert rep.dual_distance_status == ">=1"  # nothing certified
 
 
-def test_pack_columns_matches_generator(even5):
-    cols = pack_columns(even5)
-    gen = np.asarray(even5.generator)
-    for t in range(even5.n):
-        assert int(cols[t]) == sum(int(gen[i, t]) << i for i in range(even5.k))
+@pytest.mark.parametrize("k", [4, 63, 64, 65, 130])
+def test_column_words_match_generator(k):
+    # bit i of word row r is generator row 64 r + i, bit 63 included
+    rng = np.random.default_rng(k)
+    gen = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, size=(k, 7)),
+                     np.ones((k, 1), dtype=np.int64)])
+    words = _column_words(LinearCode(q=2, generator=gen))
+    assert words.dtype == np.uint64 and words.shape == (-(-k // 64), k + 8)
+    for r, row in enumerate(words):
+        for t, word in enumerate(row.tolist()):
+            for b in range(64):
+                i = 64 * r + b
+                assert word >> b & 1 == (int(gen[i, t]) if i < k else 0)
 
 
 def test_generator_file_round_trip(tmp_path, even5):
@@ -507,7 +516,6 @@ def test_ternary_code_support():
     gen = np.array([[1, 0, 1, 2], [0, 1, 1, 1]])
     code = LinearCode(q=3, generator=gen)
     assert code.N == 9
-    status = cs.dual_distance_status(code, 4)
-    assert status.exact is not None
     rep = cs.code_report(code)
+    assert rep.dual_distance_status == "=3"  # no two columns are proportional
     assert rep.q == 3 and rep.coherence > 0

@@ -66,13 +66,14 @@ def test_codewords_match_encode():
         for idx in range(code.N):
             digits = [idx // q**i % q for i in range(k)]
             assert (words[idx] == cs.encode(code, digits)).all()
-    # k = 64: every index below 2^64 decodes, including those past 2^63
-    big = cs.make_even_weight(65)
+    # k >= 64: every index below 2^64 decodes, including those past 2^63
     indices = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0xDEADBEEF12345678]
-    words = cs.codewords(big, indices)
-    for idx, word in zip(indices, words):
-        digits = [idx >> i & 1 for i in range(64)]
-        assert (word == cs.encode(big, digits)).all()
+    for k in (64, 65, 128):
+        big = cs.make_even_weight(k + 1)
+        words = cs.codewords(big, indices)
+        for idx, word in zip(indices, words):
+            digits = [idx >> i & 1 for i in range(k)]
+            assert (word == cs.encode(big, digits)).all()
     with pytest.raises(ParameterError):
         cs.codewords(cs.make_even_weight(7), [64])
 
@@ -80,15 +81,16 @@ def test_codewords_match_encode():
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packed_decode_matches_encode(data):
-    # binary codes with k <= 63 decode by packed parity; encode() is the oracle
-    k = data.draw(st.one_of(st.just(63), st.integers(1, 63)), label="k")
+    # binary codes decode by packed parity; encode() is the oracle
+    k = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128]), st.integers(1, 130)),
+                  label="k")
     extra = data.draw(st.integers(0, 8), label="extra columns")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     mix = np.tril(rng.integers(0, 2, size=(k, k)), -1) + np.eye(k, dtype=np.int64)
     gen = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, size=(k, extra))])
     gen = (mix @ gen % 2)[:, rng.permutation(k + extra)]
     code = cs.LinearCode(q=2, generator=gen)
-    top = 2**k - 1
+    top = 2**min(k, 64) - 1  # a uint64 index has no bit past 63
     indices = data.draw(st.lists(
         st.one_of(st.integers(0, top), st.integers(max(0, top - 3), top)),
         min_size=1, max_size=12), label="indices")
@@ -96,10 +98,11 @@ def test_packed_decode_matches_encode(data):
     assert words.dtype == np.int64 and words.shape == (len(indices), k + extra)
     for idx, word in zip(indices, words):
         assert (word == cs.encode(code, [idx >> i & 1 for i in range(k)])).all()
-    beyond = data.draw(st.one_of(st.integers(top + 1, top + 4),
-                                 st.integers(top + 1, 2**64 - 1)), label="beyond")
-    with pytest.raises(ParameterError):
-        cs.codewords(code, indices + [beyond])
+    if k < 64:
+        beyond = data.draw(st.one_of(st.integers(top + 1, top + 4),
+                                     st.integers(top + 1, 2**64 - 1)), label="beyond")
+        with pytest.raises(ParameterError):
+            cs.codewords(code, indices + [beyond])
 
 
 def test_sampling_is_deterministic(even5):
