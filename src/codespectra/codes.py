@@ -21,6 +21,7 @@ identities, and left uncertified beyond SPECTRUM_BUDGET.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, sqrt
 from pathlib import Path
 
@@ -87,6 +88,20 @@ class LinearCode:
     def N(self) -> int:
         """Number of codewords, q^k."""
         return self.q**self.k
+
+    @cached_property
+    def _column_words(self) -> np.ndarray:
+        """A binary generator's columns packed into uint64 words, one row of n
+        words per block of 64 generator rows: bit i of word row r is generator
+        row 64 r + i.  Each word row is the int64 powers of two @ its block,
+        viewed as uint64; the bits are distinct, so the sum is exact even with
+        bit 63 (the int64 sign).  Packed once per code, on first use, and
+        read-only, like the generator it is packed from."""
+        bits = np.int64(1) << np.arange(64, dtype=np.int64)
+        blocks = [self.generator[r:r + 64] for r in range(0, self.k, 64)]
+        words = np.array([bits[:len(b)] @ b for b in blocks]).view(np.uint64)
+        words.setflags(write=False)
+        return words
 
 
 def _row_rank_mod_q(mat: np.ndarray, q: int) -> int:
@@ -211,15 +226,15 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
     digits of i, least significant first.  Indices are taken in uint64, so
     every index below min(N, 2^64) decodes.  For a binary code the bits of
     i are the message, and coordinate j of its codeword is the parity of
-    i AND the first word of column j (`_column_words`), since i has no bit
-    past 63; other codes decode digit by digit and multiply by the
-    generator.
+    i AND the first word of column j (`LinearCode._column_words`), since i
+    has no bit past 63; other codes decode digit by digit and multiply by
+    the generator.
     """
     idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
     if code.q == 2:
         if code.k < 64 and (idx >> code.k).any():
             raise ParameterError(f"message index beyond the N = {code.N} codewords")
-        words = idx[:, None] & _column_words(code)[0]
+        words = idx[:, None] & code._column_words[0]
         np.bitwise_count(words, out=words)
         words &= 1
         return words.view(np.int64)
@@ -231,18 +246,6 @@ def codewords(code: LinearCode, indices) -> np.ndarray:
         raise ParameterError(f"message index beyond the N = {code.N} codewords")
     words = digits @ code.generator
     return np.remainder(words, code.q, out=words)
-
-
-def _column_words(code: LinearCode) -> np.ndarray:
-    """A binary generator's columns packed into uint64 words, one row of n
-    words per block of 64 generator rows: bit i of word row r is generator
-    row 64 r + i.  Each word row is the int64 powers of two @ its block,
-    viewed as uint64; the bits are distinct, so the sum is exact even with
-    bit 63 (the int64 sign)."""
-    bits = np.int64(1) << np.arange(64, dtype=np.int64)
-    gen = code.generator
-    blocks = [gen[r:r + 64] for r in range(0, code.k, 64)]
-    return np.array([bits[:len(block)] @ block for block in blocks]).view(np.uint64)
 
 
 def char_map(word, q: int) -> np.ndarray:

@@ -17,18 +17,20 @@ are pairwise distinct (checked once per `AuditOperands`), `_eliminate`
 reads each degree-2 equation c (g[t_a] - g[t_b]) = 0 as t_a = t_b and
 substitutes t_a for t_b.  That keeps the solution set of the equations
 kept, so the one left out still follows from them.  Each equation left
-becomes a 0/1 tensor over its variables, with entry 1 where the weighted
-column sum vanishes mod q (for binary codes, where the XOR of the
-columns packed into 64-bit words is 0).  W is the int32 contraction of
-these tensors, times n for every variable neither substituted nor
-constrained; `_count_solutions` refuses n^(number of steps) above
-COUNT_BUDGET, which keeps it exact.
-`_contract` folds the tensors in vertex-label order, summing a variable
-out once no later tensor carries it.  Each system is folded afresh, but
-its tensors are built once per audit in the audit's `AuditOperands`:
+becomes a bool mask over its variables, one byte per entry, True where
+the weighted column sum vanishes mod q (for binary codes, where the XOR
+of the columns packed into 64-bit words is 0); `_vertex_tensor` builds it
+by comparing two half-sums, so nothing larger than the mask is
+allocated.  W is the contraction of these masks, accumulated in int32,
+times n for every variable neither substituted nor constrained;
+`_count_solutions` refuses n^(number of steps) above COUNT_BUDGET, which
+keeps it exact.
+`_contract` folds the masks in vertex-label order, summing a variable
+out once no later mask carries it.  Each system is folded afresh, but
+its masks are built once per audit in the audit's `AuditOperands`:
 scaled and sorted to a canonical coefficient tuple, an equation shares
-its tensor with every scalar multiple and reordering, so a binary code
-needs at most one tensor per degree.
+its mask with every scalar multiple and reordering, so a binary code
+needs at most one mask per degree.
 
 W_pair is constant on each orbit of a pair under rotating either walk
 (rot^r w = w[r:l] + w[:r+1], the walk started at its step r) and swapping
@@ -80,13 +82,15 @@ from math import comb, factorial, perm
 
 import numpy as np
 
-from .codes import LinearCode, _column_words, char_map, codewords
+from .codes import LinearCode, char_map, codewords
 from .errors import ParameterError, ResourceError
 
 MAX_LENGTH = 10
 # Column-side budget on n^(number of steps): n^l for a walk, n^(2l) for a
-# pair.  No vertex tensor has more entries, and every partial sum of the
-# contraction is a count no larger, so at 10^8 the int32 einsum is exact.
+# pair.  It bounds a vertex mask at n^s bytes for s steps, plus one
+# temporary mask of the same size while a code with several rows is
+# folded in; every partial sum of the contraction is a count no larger
+# than n^s, so at 10^8 the int32 accumulation is exact.
 COUNT_BUDGET = 10**8
 # Codeword-side budget on N^v * l * n.  With n^l <= COUNT_BUDGET it keeps
 # N^v * n^l, which bounds every partial sum of a binary Gram contraction,
@@ -280,7 +284,7 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
 
 class AuditOperands:
     """Code-dependent operands shared by every count and expectation of one
-    audit, each built on first use: the vertex tensors, keyed by canonical
+    audit, each built on first use: the vertex masks, keyed by canonical
     coefficients; whether the columns allow elimination; the codeword Gram
     row K[0, :] and matrix K; and the all-maps Gram sum of each walk.
     count_W, count_W_pair and expect_omega take one as `operands`; without
@@ -295,13 +299,13 @@ class AuditOperands:
         self._sums: dict[tuple[int, ...], int | complex] = {}
 
     def vertex_operand(self, eq: dict[int, int]) -> tuple[np.ndarray, list[int]]:
-        """The 0/1 tensor of a vertex equation and the variable of each axis.
+        """The bool mask of a vertex equation and the variable of each axis.
 
         Scaling an equation by a unit (q is prime) or reordering its terms
         leaves its solutions unchanged.  Each equation is therefore written
         with the smallest sorted coefficient tuple among its scalings, and
-        equations with the same tuple share one tensor: a binary code has at
-        most one tensor per degree.
+        equations with the same tuple share one mask: a binary code has at
+        most one mask per degree.
         """
         q = self.code.q
         terms = min(
@@ -386,43 +390,57 @@ def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOper
 
 
 def _vertex_tensor(code: LinearCode, coeffs: tuple[int, ...]) -> np.ndarray:
-    """0/1 tensor over len(coeffs) column indices: entry [j_1, ..., j_d] is
-    1 where sum_i coeffs[i] * g[:, j_i] = 0 mod q, built one row at a time.
-    A binary code's rows are the word rows of `_column_words`, each cast to
-    the smallest unsigned type that holds it and summed by XOR (every
-    coefficient is 1), so k <= 64 takes one pass."""
-    q = code.q
+    """Bool mask over d = len(coeffs) column indices: entry [j_1, ..., j_d]
+    is True where sum_i coeffs[i] * g[:, j_i] = 0 mod q, built one row at a
+    time as the broadcast test left == right.  The left half-sum is the
+    weighted sum over the first ceil(d/2) indices, the right one minus the
+    weighted sum over the others (the coefficients negated mod q), so the
+    build allocates half-sums of at most n^ceil(d/2) entries next to the
+    n^d mask.  A binary code's rows are the word rows of its packed columns,
+    each cast to the smallest unsigned type that holds it and summed by XOR
+    (every coefficient is 1, its own negative), so k <= 64 takes one pass;
+    the masks of further rows, and of every row of a q > 2 code, are folded
+    in with &=."""
+    q, half = code.q, (len(coeffs) + 1) // 2
     if q == 2:
-        rows = [w.astype(np.min_scalar_type(int(w.max()))) for w in _column_words(code)]
+        rows = [w.astype(np.min_scalar_type(int(w.max()))) for w in code._column_words]
     else:
         rows = code.generator.astype(np.min_scalar_type(q**2))
-    ok = None
+    negated = [-c % q for c in coeffs[half:]]
+
+    def half_sum(row, cs):
+        acc = np.zeros((), row.dtype)
+        for c in cs:
+            acc = acc[..., None] ^ row if q == 2 else (acc[..., None] + c * row % q) % q
+        return acc
+
+    mask = None
     for row in rows:
-        terms = [row] * len(coeffs) if q == 2 else [c * row % q for c in coeffs]
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = acc[..., None] ^ term if q == 2 else (acc[..., None] + term) % q
-        if ok is None:
-            ok = np.equal(acc, 0, out=np.empty(acc.shape, np.int32))
+        left, right = half_sum(row, coeffs[:half]), half_sum(row, negated)
+        ok = left.reshape(left.shape + (1,) * right.ndim) == right
+        if mask is None:
+            mask = ok
         else:
-            ok &= acc == 0
-    return ok
+            mask &= ok
+    return mask
 
 
 def _contract(terms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
     """Sum over all axis labels of the product of (array, labels) `terms`,
     as a 0-d array: a left-to-right fold of plain einsum calls that sums
     each label out as soon as no later term carries it (within its own
-    term when no other term does)."""
+    term when no other term does).  Bool mask terms are counted in int32;
+    other terms keep their own dtype."""
+    dtype = np.int32 if terms[0][0].dtype == np.bool_ else None
     last = {x: j for j, (_, axes) in enumerate(terms) for x in axes}
     acc_axes: list[int] = []
     for j, (op, axes) in enumerate(terms):
         keep = [x for x in axes if x in acc_axes or last[x] > j]
         if len(keep) < len(axes):
-            op, axes = np.einsum(op, axes, keep), keep
+            op, axes = np.einsum(op, axes, keep, dtype=dtype), keep
         if j:
             out = [x for x in dict.fromkeys(acc_axes + axes) if last[x] > j]
-            op, axes = np.einsum(acc, acc_axes, op, axes, out), out
+            op, axes = np.einsum(acc, acc_axes, op, axes, out, dtype=dtype), out
         acc, acc_axes = op, axes
     return acc
 
@@ -455,11 +473,12 @@ def _count_solutions(
     """Exact number of column-index tuples, one index per step of `walks`,
     that solve every vertex equation, leaving out the equation at
     `drop_vertex` or, by default, the widest: `_eliminate` where the
-    operands allow it, then the `_contract` fold of the vertex tensors of
-    the equations left, in vertex-label order.
+    operands allow it, then the `_contract` fold of the vertex masks of
+    the equations left, in vertex-label order, accumulated in int32.
 
-    Every term and every intermediate of the fold is a count of at most
-    n^(number of steps), which COUNT_BUDGET keeps within int32.
+    Every mask holds at most n^(number of steps) entries, and every
+    intermediate of the fold is a count no larger, which COUNT_BUDGET
+    keeps within int32, so the count is exact.
     """
     steps = sum(len(labels) - 1 for labels in walks)
     total = code.n**steps

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import codespectra as cs
 from codespectra import ContractViolationError, LinearCode, ParameterError
-from codespectra.codes import GENERATOR_BYTES_BUDGET, _column_words, \
-    _dual_distance_from_weights, _row_rank_mod_q, _weights_exhaustive
+from codespectra.codes import GENERATOR_BYTES_BUDGET, _dual_distance_from_weights, \
+    _row_rank_mod_q, _weights_exhaustive
 
 
 def all_codewords(code):
@@ -484,8 +484,10 @@ def test_column_words_match_generator(k):
     rng = np.random.default_rng(k)
     gen = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, size=(k, 7)),
                      np.ones((k, 1), dtype=np.int64)])
-    words = _column_words(LinearCode(q=2, generator=gen))
+    code = LinearCode(q=2, generator=gen)
+    words = code._column_words
     assert words.dtype == np.uint64 and words.shape == (-(-k // 64), k + 8)
+    assert code._column_words is words and not words.flags.writeable  # packed once
     for r, row in enumerate(words):
         for t, word in enumerate(row.tolist()):
             for b in range(64):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -590,16 +591,51 @@ def test_columns_beyond_63_rows_compare_and_count_unpacked():
 @pytest.mark.parametrize("n", [5, 64, 65, 66, 130])
 def test_vertex_tensors_match_columns_for_every_word_count(n):
     # binary rows pack into 64-bit words: k = n - 1 takes one word up to
-    # k = 64 and two or three beyond
+    # k = 64 and two or three beyond; degree 4 splits into two equal halves
     code = cs.make_even_weight(n)
     g = code.generator.astype(np.uint8)
-    for degree in (1, 2, 3) if n <= 66 else (1, 2):
+    for degree in (1, 2, 3, 4) if n <= 8 else (1, 2, 3) if n <= 66 else (1, 2):
         # sums[r, j_1, ..., j_d] = g[r, j_1] + ... + g[r, j_d]
         sums = sum(g.reshape((code.k,) + (1,) * i + (n,) + (1,) * (degree - 1 - i))
                    for i in range(degree))
         tensor = paths._vertex_tensor(code, (1,) * degree)
-        assert tensor.dtype == np.int32
+        assert tensor.dtype == np.bool_
         assert (tensor == ~(sums % 2).any(axis=0)).all()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_vertex_tensors_match_columns_mod_q(q):
+    # the right half-sum enters negated: at q = 3, (1, 2) means g[j_1] = g[j_2]
+    rng = np.random.default_rng(q)
+    columns = [np.eye(2, dtype=int), np.zeros((2, 1), dtype=int),
+               rng.integers(0, q, (2, 7))]
+    code = cs.LinearCode(q=q, generator=np.hstack(columns))
+    g, n = code.generator, code.n
+    for coeffs in [(1,), (1, 2), (2, 1), (1, 1, 2), (1, 2, q - 1), (1, 2, 2, 1),
+                   (2, 1, 1, q - 1)]:
+        d = len(coeffs)
+        sums = sum(c * g.reshape((code.k,) + (1,) * i + (n,) + (1,) * (d - 1 - i))
+                   for i, c in enumerate(coeffs))
+        mask = paths._vertex_tensor(code, coeffs)
+        assert mask.dtype == np.bool_
+        assert (mask == ~(sums % q).any(axis=0)).all()
+
+
+@pytest.mark.parametrize("code,ell,budget", [
+    (cs.make_gold(5), 4, 2 << 20),  # one 31^4 mask
+    (cs.make_even_weight(65), 2, 40 << 20),  # one 65^4 mask
+], ids=["gold5", "even65"])
+def test_vertex_masks_bound_audit_memory(code, ell, budget):
+    # one byte per mask entry and half-sums of n^2 entries: the 31^4 and
+    # 65^4 masks take 0.9 and 17 MiB, where four-byte entries would need
+    # 3.5 and 68 MiB before any accumulator
+    tracemalloc.start()
+    try:
+        cs.paths_audit(code, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 @pytest.mark.parametrize("code", [TERNARY, TERNARY_PROPORTIONAL, TERNARY_REPEATED],
