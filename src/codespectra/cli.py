@@ -19,6 +19,9 @@ the bytes written, so identical (config, seed) runs are byte-comparable.
 The JSON is compact (one line, sorted keys, no indentation), which lets the
 stdlib encode it in C, and still byte-identical for the same (config,
 seed); `main` prints the same text it writes to the file.
+Only spectrum and mp load hashlib and statistics, for the artifact checksums
+and the median KS, and moments loads statistics for its means and variances;
+the other commands never map libcrypto, decimal or fractions.
 Exit codes: 0 ok, 2 parameter error (an argparse usage error included), 3
 resource (budget) error, 4 an internal contract or convergence failure (see
 errors.py).
@@ -26,14 +29,12 @@ errors.py).
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
-import statistics
 import sys
 from dataclasses import asdict, dataclass
 from math import sqrt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,6 +48,11 @@ from .paths import paths_audit
 from .signal import MODE_DISTINCT, MODE_WITH_REPLACEMENT, sample_codewords
 from .spectra import summarize
 from .svg import render_histogram_svg
+
+# hashlib, statistics and argparse are imported in the functions that use
+# them, so paths-audit and code-info never map libcrypto, decimal or fractions.
+if TYPE_CHECKING:
+    import argparse
 
 MOMENT_BOUND_MULTIPLIER = 3.0  # converts the unconstanted error scale into a gate
 # Highest --lmax of spectrum, mp and moments: far higher powers of H
@@ -164,6 +170,9 @@ def _run_esd_experiment(
     cfg: ExperimentConfig, code: LinearCode, p: int, law: LawSpec,
     mode: str, centered: bool,
 ) -> dict:
+    import hashlib
+    import statistics
+
     if cfg.bins < 1:
         raise ParameterError(f"need --bins >= 1, got {cfg.bins}")
     _check_sampling(cfg, code, p, mode, cfg.bins)
@@ -240,6 +249,8 @@ def cmd_mp(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_moments(cfg: ExperimentConfig) -> dict:
+    import statistics
+
     code = resolve_code(cfg)
     if cfg.p is None:
         raise ParameterError("moments needs --p")
@@ -329,6 +340,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="codespectra",
         description="Spectral experiments on matrices built from linear codes",

@@ -493,7 +493,11 @@ def _weights_sampled(code: LinearCode) -> tuple[set[int], float]:
     rows = max(1, _CHUNK_ENTRIES // code.n)
     for start in range(0, len(messages), rows):
         words = codewords(code, messages[start:start + rows])
-        weights.update(int(x) for x in np.count_nonzero(words, axis=1))
-        sums = char_map(words, code.q).sum(axis=1)
+        counts = np.count_nonzero(words, axis=1)
+        weights.update(counts.tolist())
+        if code.q == 2:  # a binary word of weight w has character sum n - 2w
+            sums = code.n - 2 * counts
+        else:
+            sums = char_map(words, code.q).sum(axis=1)
         coherence = max(coherence, float(np.abs(sums).max()))
     return weights, coherence

@@ -65,7 +65,10 @@ def render_histogram_svg(
             'stroke-width="0.5"/>'
         )
 
-    pts = " ".join(f"{px(float(x)):.2f},{py(float(y)):.2f}" for x, y in zip(xs, curve))
+    # px and py on whole arrays, in the same operation order
+    cx = MARGIN_L + (xs - x_min) / (x_max - x_min) * plot_w
+    cy = MARGIN_T + (1.0 - curve / y_max) * plot_h
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(cx.tolist(), cy.tolist())))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.8"/>'
     )

@@ -283,6 +283,46 @@ def test_paths_audit_command(tmp_path):
     json.loads((tmp_path / "audit" / "paths_audit.json").read_text())
 
 
+FOOTPRINT_SCRIPT = """
+import sys
+from codespectra.cli import ExperimentConfig, cmd_paths_audit, main
+
+def loaded():
+    return sorted(m for m in ("_hashlib", "statistics", "argparse") if m in sys.modules)
+
+print(loaded())
+cmd_paths_audit(ExperimentConfig(command="paths-audit", code="even", n=4,
+                                 lmax=3, out="direct"))
+print(loaded())
+assert main(["paths-audit", "--code", "even", "--n", "4", "--lmax", "3",
+             "--out", "audit"]) == 0
+assert main(["code-info", "--code", "gold", "--m", "5", "--out", "info"]) == 0
+print(loaded())
+assert main(["spectrum", "--code", "even", "--n", "5", "--p", "4",
+             "--repeats", "1", "--out", "spec"]) == 0
+print(loaded())
+"""
+
+
+def test_import_footprint_per_command(tmp_path):
+    # a fresh interpreter: pytest itself has hashlib loaded.  paths-audit and
+    # code-info never load hashlib (libcrypto) or statistics; spectrum does,
+    # for its artifact digests and median KS
+    src = Path(codespectra.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], cwd=tmp_path,
+                          env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    reports = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert reports == [
+        "[]",
+        "[]",
+        "['argparse']",
+        "['_hashlib', 'argparse', 'statistics']",
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     # n^l = 7^10 blows the brute-force budget
     ["paths-audit", "--code", "even", "--n", "7", "--lmax", "10"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import codespectra as cs
 from codespectra import ContractViolationError, LinearCode, ParameterError
 from codespectra.codes import GENERATOR_BYTES_BUDGET, _dual_distance_from_weights, \
-    _row_rank_mod_q, _weights_exhaustive
+    _row_rank_mod_q, _weights_exhaustive, _weights_sampled
 
 
 def all_codewords(code):
@@ -360,6 +360,25 @@ def _check_against_oracle(code):
     else:
         sums = np.exp(2j * np.pi * words / code.q).sum(axis=1)
         assert rep.coherence == pytest.approx(np.abs(sums).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 40])
+@pytest.mark.parametrize("q, k, extra", [(2, 10, 21), (2, 6, 3), (3, 6, 9), (5, 3, 7)])
+def test_sampled_weights_match_exhaustive(monkeypatch, chunk, q, k, extra):
+    # N - 1 <= the sample size, so the sample is every nonzero message; a
+    # 40-entry chunk splits it into chunks of one to four rows
+    monkeypatch.setattr(cs.codes, "_CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(k + extra)
+    gen = np.hstack([np.eye(k, dtype=int), rng.integers(0, q, size=(k, extra))])
+    code = LinearCode(q=q, generator=gen)
+    counts, coherence = _weights_exhaustive(code)
+    weights, sampled_coherence = _weights_sampled(code)
+    assert weights == {int(w) for w in np.flatnonzero(counts[1:]) + 1}
+    assert type(sampled_coherence) is float
+    if q == 2:
+        assert sampled_coherence == coherence
+    else:  # the exhaustive sums go through an FFT
+        assert sampled_coherence == pytest.approx(coherence, rel=1e-12)
 
 
 @st.composite
