@@ -2,7 +2,6 @@
 
 from .codes import (
     CodeReport,
-    DualDistanceStatus,
     LinearCode,
     char_map,
     code_report,

@@ -297,26 +297,9 @@ def load_generator(path: str | Path) -> LinearCode:
     return parse_generator(p.read_text(), label=p.name)
 
 
-@dataclass(frozen=True)
-class DualDistanceStatus:
-    """Exact dual distance, or the lower bound searched + 1: no dual
-    codeword has a weight in 1..searched.  searched = 0 certifies nothing
-    (label ">=1")."""
-
-    exact: int | None
-    searched: int
-
-    @property
-    def label(self) -> str:
-        if self.exact is not None:
-            return f"={self.exact}"
-        return f">={self.searched + 1}"
-
-
-def _dual_distance_from_weights(
-    counts: np.ndarray, q: int, bound: int
-) -> DualDistanceStatus:
-    """First j in 1..bound with A'_j > 0, from the weight counts A_0..A_n.
+def _dual_weights(counts: np.ndarray, q: int, bound: int) -> list[int]:
+    """A'_1..A'_bound, the dual code's number of words of each weight, from
+    the weight counts A_0..A_n.
 
     MacWilliams (MacWilliams & Sloane, ch. 5): the dual code has
     A'_j = (1/N) sum_i A_i K_j(i) words of weight j, N = sum_i A_i, with the
@@ -328,21 +311,21 @@ def _dual_distance_from_weights(
     n = counts.size - 1
     support = [(i, int(counts[i])) for i in np.flatnonzero(counts).tolist()]
     total = sum(a for _, a in support)
+    dual = []
     for j in range(1, bound + 1):
         scaled = sum(
             a * sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s)
                     for s in range(j + 1))
             for i, a in support
         )
-        dual, rest = divmod(scaled, total)
-        if rest or dual < 0:
+        words, rest = divmod(scaled, total)
+        if rest or words < 0:
             raise ContractViolationError(
                 f"MacWilliams sum for dual weight {j} is {scaled}, not a "
                 f"nonnegative multiple of N = {total}"
             )
-        if dual:
-            return DualDistanceStatus(j, j)
-    return DualDistanceStatus(None, bound)
+        dual.append(words)
+    return dual
 
 
 @dataclass(frozen=True)
@@ -379,10 +362,10 @@ def code_report(code: LinearCode) -> CodeReport:
     flagged non-certified.  The sample draws 64-bit message indices, so a
     code that needs it with N > 2^64 is refused with ParameterError.
     The dual distance is the construction's `known_dual_distance` when one
-    is attached (reported exact); else, on the exhaustive path, it comes
-    from the same weight counts through MacWilliams, up to the dual
-    distance 5 that the semicircle law asks for; else nothing is certified
-    (">=1").
+    is attached (reported exact); else, on the exhaustive path, it is the
+    first j with A'_j > 0 among the dual weights A'_1..A'_5 of the same
+    weight counts (MacWilliams), or ">=6" past the dual distance 5 that the
+    semicircle law asks for; else nothing is certified (">=1").
     """
     if code.N <= SPECTRUM_BUDGET:
         method = "exhaustive"
@@ -405,12 +388,13 @@ def code_report(code: LinearCode) -> CodeReport:
         weights, coherence = _weights_sampled(code)
 
     if code.known_dual_distance is not None:
-        d = code.known_dual_distance
-        status = DualDistanceStatus(d, d)
+        dual_distance = f"={code.known_dual_distance}"
     elif method == "exhaustive":
-        status = _dual_distance_from_weights(counts, code.q, 5)
+        dual = _dual_weights(counts, code.q, 5)
+        dual_distance = next((f"={j}" for j, a in enumerate(dual, 1) if a),
+                             f">={len(dual) + 1}")
     else:
-        status = DualDistanceStatus(None, 0)
+        dual_distance = ">=1"
 
     try:
         ratio = code.N / code.n
@@ -421,7 +405,7 @@ def code_report(code: LinearCode) -> CodeReport:
         k=code.k,
         N=code.N,
         q=code.q,
-        dual_distance_status=status.label,
+        dual_distance_status=dual_distance,
         weight_set=tuple(sorted(weights)),
         coherence=float(coherence),
         coherence_constant=float(coherence) / sqrt(code.n),
@@ -431,32 +415,41 @@ def code_report(code: LinearCode) -> CodeReport:
     )
 
 
-def _weights_exhaustive(code: LinearCode) -> tuple[np.ndarray, float]:
-    """Weight counts A_0..A_n and coherence read off
-    S(u) = sum_j chi(<u, g_j>), the row sum of `char_map` of message u's
-    codeword, for every u.
+def _character_sums(code: LinearCode) -> np.ndarray:
+    """S(u) = sum_j chi(<u, g_j>), the row sum of `char_map` of message u's
+    codeword, for every message u in the order of `codewords`.
 
     S is the character transform of the column histogram over F_q^k (column
-    g at index sum_i g_i q^i, the message order of `codewords`): k in-place
-    int64 Walsh-Hadamard butterflies for a binary code, so exact, else the
-    conjugated FFT over a (q,) * k array, one axis per digit.  The
-    coherence is max |S(u)| over u != 0.  A binary codeword has weight
+    g at index sum_i g_i q^i): k in-place int64 Walsh-Hadamard butterflies
+    for a binary code, so exact, else the conjugated FFT over a (q,) * k
+    array, one axis per digit, complex128.
+    """
+    q, k = code.q, code.k
+    sums = np.bincount(q ** np.arange(k) @ code.generator, minlength=code.N)
+    if q > 2:
+        return np.fft.fftn(sums.reshape((q,) * k)).conj().ravel()
+    for i in range(k):
+        low, high = sums.reshape(-1, 2, 1 << i).swapaxes(0, 1)
+        low += high  # a + b
+        high *= -2
+        high += low  # a - b
+    return sums
+
+
+def _weights_exhaustive(code: LinearCode) -> tuple[np.ndarray, float]:
+    """Weight counts A_0..A_n and coherence, read off the character sums S.
+
+    The coherence is max |S(u)| over u != 0.  A binary codeword has weight
     (n - S(u)) / 2; a q-ary one has (n + sum_{t != 0} S(t u)) / q zeros,
     summed once per projective line, each numbered by its point whose
     lowest nonzero digit is 1 (found through a table of inverses mod q,
     the Fermat powers t^(q-2), whose products stay below q^2 < 2^41).
     """
     n, q, k = code.n, code.q, code.k
-    sums = np.bincount(q ** np.arange(k) @ code.generator, minlength=code.N)
+    sums = _character_sums(code)
     if q == 2:
-        for i in range(k):
-            low, high = sums.reshape(-1, 2, 1 << i).swapaxes(0, 1)
-            low += high  # a + b
-            high *= -2
-            high += low  # a - b
         weights = (n - sums[1:]) // 2
     else:
-        sums = np.fft.fftn(sums.reshape((q,) * k)).conj().ravel()
         inverse, power, e = np.ones(q, dtype=np.int64), np.arange(q), q - 2
         while e:
             if e & 1:

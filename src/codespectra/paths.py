@@ -293,9 +293,6 @@ class AuditOperands:
     def __init__(self, code: LinearCode):
         self.code = code
         self._tensors: dict[tuple[int, ...], np.ndarray] = {}
-        self._rows: np.ndarray | None = None
-        self._first_row: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
         self._sums: dict[tuple[int, ...], int | complex] = {}
 
     def vertex_operand(self, eq: dict[int, int]) -> tuple[np.ndarray, list[int]]:
@@ -346,39 +343,32 @@ class AuditOperands:
                 if a == b:
                     loops += 1
                 elif a == 1:
-                    terms.append((self.first_row(), [b - 1]))
+                    terms.append((self.first_row, [b - 1]))
                 elif b == 1:
-                    terms.append((self.first_row().conj(), [a - 1]))
+                    terms.append((self.first_row.conj(), [a - 1]))
                 else:
-                    terms.append((self.gram(), [a - 1, b - 1]))
+                    terms.append((self.gram, [a - 1, b - 1]))
             total = self.code.N * self.code.n**loops
             if terms:
                 total *= _contract(terms).item()
             self._sums[labels] = total
         return self._sums[labels]
 
+    @cached_property
     def _codeword_rows(self) -> np.ndarray:
-        if self._rows is None:
-            code = self.code
-            rows = char_map(codewords(code, np.arange(code.N)), code.q)
-            if code.q == 2:
-                rows = rows.astype(np.int64)  # K exact in integers
-            self._rows = rows
-        return self._rows
+        code = self.code
+        rows = char_map(codewords(code, np.arange(code.N)), code.q)
+        return rows.astype(np.int64) if code.q == 2 else rows  # binary K: exact ints
 
+    @cached_property
     def first_row(self) -> np.ndarray:
         """K[0, :], the Gram row of the zero codeword."""
-        if self._first_row is None:
-            rows = self._codeword_rows()
-            self._first_row = rows.conj() @ rows[0]
-        return self._first_row
+        return self._codeword_rows.conj() @ self._codeword_rows[0]
 
+    @cached_property
     def gram(self) -> np.ndarray:
         """The full N x N codeword Gram matrix K."""
-        if self._gram is None:
-            rows = self._codeword_rows()
-            self._gram = rows @ rows.conj().T
-        return self._gram
+        return self._codeword_rows @ self._codeword_rows.conj().T
 
 
 def _operands_for(code: LinearCode, operands: AuditOperands | None) -> AuditOperands:

@@ -41,10 +41,10 @@ def render_histogram_svg(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x):  # a float or an array, in the same operation order
         return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (1.0 - y / y_max) * plot_h
 
     parts = [
@@ -56,19 +56,13 @@ def render_histogram_svg(
         f'font-family="sans-serif" font-size="13">{_esc(title)}</text>',
     ]
 
-    for left, right, dens in zip(bin_edges[:-1], bin_edges[1:], densities):
-        x0, x1 = px(float(left)), px(float(right))
-        y0 = py(float(dens))
-        parts.append(
-            f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
-            f'height="{py(0.0) - y0:.2f}" fill="#9ecae1" stroke="#6baed6" '
-            'stroke-width="0.5"/>'
-        )
+    x0, x1, y0 = px(bin_edges[:-1]), px(bin_edges[1:]), py(densities)
+    bar = ('<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#9ecae1" '
+           'stroke="#6baed6" stroke-width="0.5"/>')
+    bars = zip(x0.tolist(), y0.tolist(), (x1 - x0).tolist(), (py(0.0) - y0).tolist())
+    parts.extend(map(bar.__mod__, bars))
 
-    # px and py on whole arrays, in the same operation order
-    cx = MARGIN_L + (xs - x_min) / (x_max - x_min) * plot_w
-    cy = MARGIN_T + (1.0 - curve / y_max) * plot_h
-    pts = " ".join(map("%.2f,%.2f".__mod__, zip(cx.tolist(), cy.tolist())))
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(curve).tolist())))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#d62728" stroke-width="1.8"/>'
     )

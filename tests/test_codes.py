@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import codespectra as cs
 from codespectra import ContractViolationError, LinearCode, ParameterError
-from codespectra.codes import GENERATOR_BYTES_BUDGET, _dual_distance_from_weights, \
+from codespectra.codes import GENERATOR_BYTES_BUDGET, _character_sums, _dual_weights, \
     _row_rank_mod_q, _weights_exhaustive, _weights_sampled
 
 
@@ -27,8 +27,9 @@ def stripped(code):
 
 
 def dual_distance_up_to(code, bound):
-    """MacWilliams up to `bound` on the exhaustive weight counts."""
-    return _dual_distance_from_weights(_weights_exhaustive(code)[0], code.q, bound)
+    """The dual weights A'_1..A'_bound, by MacWilliams on the exhaustive
+    weight counts."""
+    return _dual_weights(_weights_exhaustive(code)[0], code.q, bound)
 
 
 def test_gold5_parameters(gold5):
@@ -170,8 +171,9 @@ def test_dual_distance_rm1(rm1_3):
 
 
 def test_dual_distance_even5(even5):
-    assert dual_distance_up_to(even5, 4).label == ">=5"
-    assert dual_distance_up_to(even5, 5).label == "=5"
+    # the dual is the repetition code: no word of weight 1..4, one of weight 5
+    assert dual_distance_up_to(even5, 4) == [0, 0, 0, 0]
+    assert dual_distance_up_to(even5, 5) == [0, 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("make, arg, searched", [
@@ -183,12 +185,13 @@ def test_dual_distance_even5(even5):
 ])
 def test_known_dual_distance_agrees_with_search(make, arg, searched):
     code = make(arg)
-    status = dual_distance_up_to(code, 7)
-    assert status.label == searched
-    if status.exact is not None:
-        assert code.known_dual_distance == status.exact
-    else:
-        assert code.known_dual_distance >= status.searched + 1
+    dual = dual_distance_up_to(code, 7)
+    d = code.known_dual_distance
+    if searched.startswith("="):  # A'_1..A'_(d-1) are 0 and A'_d is not
+        assert searched == f"={d}"
+        assert dual[:d - 1] == [0] * (d - 1) and dual[d - 1] > 0
+    else:  # ">=8": A'_1..A'_7 are all 0
+        assert dual == [0] * 7 and d >= 8
     assert cs.code_report(code).dual_distance_status == f"={code.known_dual_distance}"
 
 
@@ -205,12 +208,15 @@ def test_dual_distance_over_the_budget_is_uncertified():
 
 
 def test_dual_distance_monotone(even5, rm1_3, gold5):
+    # a lower bound computes a prefix of the same dual weights, so the first
+    # nonzero one stays put once the bound reaches it
     for code in (even5, rm1_3, gold5):
-        exact = dual_distance_up_to(code, 7).exact
-        if exact is None:
-            continue
+        full = dual_distance_up_to(code, 7)
+        exact = next(j for j, a in enumerate(full, 1) if a)
         for bound in range(exact, 8):
-            assert dual_distance_up_to(code, bound).exact == exact
+            dual = dual_distance_up_to(code, bound)
+            assert dual == full[:bound]
+            assert next(j for j, a in enumerate(dual, 1) if a) == exact
 
 
 def test_dual_distance_brute_force_oracle(even5, rm1_3):
@@ -444,13 +450,52 @@ def test_dual_distance_matches_dependent_column_oracle(code):
     assert label == (">=6" if found is None else f"={found}")
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_codes())
+def test_character_sums_match_char_map_rows(code):
+    # S(u) against the brute-force row sum of char_map over every message;
+    # for q > 2 this pins S's phase, which the weights and coherence, read
+    # off Re S and |S|, do not see
+    sums = _character_sums(code)
+    rows = cs.char_map(cs.codewords(code, np.arange(code.N)), code.q).sum(axis=1)
+    assert sums.shape == (code.N,)
+    if code.q == 2:
+        assert sums.dtype == np.int64 and (sums == rows).all()
+    else:
+        assert np.abs(sums - rows).max() <= 1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(max_n=12).filter(lambda code: code.q**code.n <= 1 << 12))
+def test_dual_weights_match_null_space_count(code):
+    # A'_j against a count of the weight-j vectors x of F_q^n with G x = 0,
+    # every x enumerated; bound n + 1 also covers the weights past n
+    space = np.arange(code.q**code.n)
+    vectors = np.stack([space // code.q**i % code.q for i in range(code.n)], axis=1)
+    in_dual = ~(vectors @ np.asarray(code.generator).T % code.q).any(axis=1)
+    found = np.bincount(np.count_nonzero(vectors[in_dual], axis=1),
+                        minlength=code.n + 2)
+    counts = np.bincount(np.count_nonzero(cs.codewords(code, np.arange(code.N)),
+                                          axis=1), minlength=code.n + 1)
+    assert _dual_weights(counts, code.q, code.n + 1) == found[1:].tolist()
+
+
+@pytest.mark.parametrize("make, arg, dual", [
+    (cs.make_rm1, 4, [0, 0, 0, 140, 0]),   # RM(2, 4), A_4 = 140
+    (cs.make_rm1, 5, [0, 0, 0, 1240, 0]),  # extended Hamming [32, 26, 4]
+    (cs.make_gold, 5, [0, 0, 0, 0, 186]),
+], ids=["rm1-4", "rm1-5", "gold-5"])
+def test_dual_weights_of_shipped_codes(make, arg, dual):
+    assert dual_distance_up_to(make(arg), 5) == dual
+
+
 @pytest.mark.parametrize("counts", [
     [1, 2],     # q = 2, n = 1: A'_1 = (1 - 2) / 3 is not an integer
     [1, 0, 3],  # q = 2, n = 2: A'_1 = (2 - 6) / 4 is negative
 ])
 def test_macwilliams_rejects_counts_of_no_code(counts):
     with pytest.raises(ContractViolationError):
-        _dual_distance_from_weights(np.array(counts), 2, 5)
+        _dual_weights(np.array(counts), 2, 5)
 
 
 def test_sampled_report_refuses_more_than_2_64_codewords():
