@@ -19,7 +19,6 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .fields import is_primitive_poly
 from .laws import LawSpec, mp_cdf, mp_moment, mp_pdf, sc_cdf, sc_moment, sc_pdf
 from .paths import (
     ClosedPath,

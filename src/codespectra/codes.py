@@ -63,7 +63,17 @@ class LinearCode:
             )
         if not is_prime(self.q):
             raise ParameterError(f"alphabet size {self.q} is not prime")
-        gen = np.asarray(self.generator, dtype=np.int64)
+        gen = np.asarray(self.generator)
+        if gen.dtype.kind not in "biu":  # refuse entries the int64 cast changes
+            try:
+                with np.errstate(invalid="ignore"):  # .real: no ComplexWarning
+                    cast = gen.real.astype(np.int64)
+            except (OverflowError, TypeError, ValueError):
+                cast = None
+            if cast is None or not np.array_equal(cast, gen):
+                raise ParameterError("generator entries must be integers within int64")
+            gen = cast
+        gen = np.asarray(gen, dtype=np.int64)
         if gen.ndim != 2:
             raise ParameterError("generator must be a 2-d matrix")
         k, n = gen.shape
@@ -440,36 +450,28 @@ def _weights_exhaustive(code: LinearCode) -> tuple[np.ndarray, float]:
     """Weight counts A_0..A_n and coherence, read off the character sums S.
 
     The coherence is max |S(u)| over u != 0.  A binary codeword has weight
-    (n - S(u)) / 2; a q-ary one has (n + sum_{t != 0} S(t u)) / q zeros,
-    summed once per projective line, each numbered by its point whose
-    lowest nonzero digit is 1 (found through a table of inverses mod q,
-    the Fermat powers t^(q-2), whose products stay below q^2 < 2^41).
+    (n - S(u)) / 2.  The q - 1 multiples t u of a q-ary message u != 0 share
+    (n + sum_{t != 0} S(t u)) / q zeros, so the sum is taken once per
+    projective line, at its point whose lowest nonzero digit is 1: the
+    indices q^i + q^(i+1) m, m < q^(k-i-1), whose multiples are built
+    digit by digit.  Each of those weights counts q - 1 codewords.
     """
     n, q, k = code.n, code.q, code.k
     sums = _character_sums(code)
     if q == 2:
         weights = (n - sums[1:]) // 2
     else:
-        inverse, power, e = np.ones(q, dtype=np.int64), np.arange(q), q - 2
-        while e:
-            if e & 1:
-                inverse *= power
-                inverse %= q
-            power *= power
-            power %= q
-            e >>= 1
-        rest = np.arange(1, code.N)
-        scale = np.zeros_like(rest)
-        line = np.zeros_like(rest)
+        rest = np.concatenate([q**i + q**(i + 1) * np.arange(q ** (k - i - 1))
+                               for i in range(k)])
+        t = np.arange(1, q)[:, None]
+        multiples = np.zeros((q - 1, rest.size), dtype=np.int64)
         for i in range(k):
             rest, digit = np.divmod(rest, q)
-            np.copyto(scale, inverse[digit], where=scale == 0)
-            line += digit * scale % q * q**i
-        del rest, digit, scale
-        zeros = np.rint((n + np.bincount(line, weights=sums.real[1:])[line]) / q)
+            multiples += t * digit % q * q**i
+        zeros = np.rint((n + sums.real[multiples].sum(axis=0)) / q)
         weights = n - zeros.astype(np.int64)
     coherence = float(np.abs(sums[1:]).max())
-    counts = np.bincount(weights, minlength=n + 1)
+    counts = np.bincount(weights, minlength=n + 1) * (q - 1)
     counts[0] += 1  # the zero word
     return counts, coherence
 

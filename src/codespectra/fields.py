@@ -41,12 +41,13 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def _powers_of_x(modulus: int, m: int) -> list[int]:
-    """x^0, x^1, ... modulo `modulus`, up to the first return to 1.
+def antilog_table(modulus: int, m: int) -> np.ndarray:
+    """alpha^0, ..., alpha^(2^m - 2) for alpha = x modulo a primitive modulus.
 
-    Stops after 2^m - 1 steps, so exactly 2^m - 1 powers come back iff x
-    has that order, i.e. iff the modulus is primitive (which implies
-    irreducible).
+    The powers of x stop at the first return to 1 or after 2^m - 1 steps, so
+    exactly 2^m - 1 powers come back iff x has that order, i.e. iff the
+    modulus is primitive (which implies irreducible); otherwise the modulus
+    is refused with ParameterError.
     """
     if m < 2:
         raise ParameterError(f"extension degree must be >= 2, got {m}")
@@ -64,17 +65,6 @@ def _powers_of_x(modulus: int, m: int) -> list[int]:
         if cur == 1:
             break
         powers.append(cur)
-    return powers
-
-
-def is_primitive_poly(modulus: int, m: int) -> bool:
-    """True iff x generates the full multiplicative group of F_2[x]/(modulus)."""
-    return len(_powers_of_x(modulus, m)) == (1 << m) - 1
-
-
-def antilog_table(modulus: int, m: int) -> np.ndarray:
-    """alpha^0, ..., alpha^(2^m - 2) for alpha = x modulo a primitive modulus."""
-    powers = _powers_of_x(modulus, m)
     if len(powers) != (1 << m) - 1:
         raise ParameterError(f"modulus {modulus:#b} is not primitive of degree {m}")
     return np.array(powers, dtype=np.int64)

@@ -28,9 +28,8 @@ keeps it exact.
 `_contract` folds the masks in vertex-label order, summing a variable
 out once no later mask carries it.  Each system is folded afresh, but
 its masks are built once per audit in the audit's `AuditOperands`:
-scaled and sorted to a canonical coefficient tuple, an equation shares
-its mask with every scalar multiple and reordering, so a binary code
-needs at most one mask per degree.
+sorted by coefficient, an equation shares its mask with every
+reordering of it, so a binary code needs at most one mask per degree.
 
 W_pair is constant on each orbit of a pair under rotating either walk
 (rot^r w = w[r:l] + w[:r+1], the walk started at its step r) and swapping
@@ -284,7 +283,7 @@ def _vertex_equations(walks, q: int) -> list[dict[int, int]]:
 
 class AuditOperands:
     """Code-dependent operands shared by every count and expectation of one
-    audit, each built on first use: the vertex masks, keyed by canonical
+    audit, each built on first use: the vertex masks, keyed by sorted
     coefficients; whether the columns allow elimination; the codeword Gram
     row K[0, :] and matrix K; and the all-maps Gram sum of each walk.
     count_W, count_W_pair and expect_omega take one as `operands`; without
@@ -298,18 +297,12 @@ class AuditOperands:
     def vertex_operand(self, eq: dict[int, int]) -> tuple[np.ndarray, list[int]]:
         """The bool mask of a vertex equation and the variable of each axis.
 
-        Scaling an equation by a unit (q is prime) or reordering its terms
-        leaves its solutions unchanged.  Each equation is therefore written
-        with the smallest sorted coefficient tuple among its scalings, and
-        equations with the same tuple share one mask: a binary code has at
-        most one mask per degree.
+        Reordering an equation's terms leaves its solutions unchanged, so its
+        terms are sorted by coefficient, and equations with the same sorted
+        coefficient tuple share one mask: a binary code, whose coefficients
+        are all 1, has at most one mask per degree.
         """
-        q = self.code.q
-        terms = min(
-            (sorted((c * pow(unit, -1, q) % q, var) for var, c in eq.items())
-             for unit in set(eq.values())),
-            key=lambda ts: [c for c, _ in ts],
-        )
+        terms = sorted((c, var) for var, c in eq.items())
         coeffs = tuple(c for c, _ in terms)
         if coeffs not in self._tensors:
             self._tensors[coeffs] = _vertex_tensor(self.code, coeffs)

@@ -346,7 +346,7 @@ def _exhaustive_report_peak(code):
 
 def test_exhaustive_report_memory_is_bounded():
     # the largest codes under SPECTRUM_BUDGET: RM(1) m=19 (2^20 int64 sums)
-    # and a ternary code with 3^12 messages (complex sums and line numbers)
+    # and a ternary code with 3^12 messages (complex sums and line multiples)
     assert _exhaustive_report_peak(cs.make_rm1(19)) < 32 << 20
     rng = np.random.default_rng(12)
     gen = np.hstack([np.eye(12, dtype=int), rng.integers(0, 3, size=(12, 28))])
@@ -356,11 +356,16 @@ def test_exhaustive_report_memory_is_bounded():
 
 def _check_against_oracle(code):
     """The report against every codeword from `all_codewords`: equal weight
-    sets, and the same coherence (within 1e-12 relative through the FFT)."""
+    counts A_0..A_n and weight sets, and the same coherence (within 1e-12
+    relative through the FFT)."""
     rep = cs.code_report(code)
-    words = all_codewords(code)[1:]  # message 0 is the zero word
+    everything = all_codewords(code)
+    weights = np.count_nonzero(everything, axis=1)
+    assert (_weights_exhaustive(code)[0] ==
+            np.bincount(weights, minlength=code.n + 1)).all()
+    words = everything[1:]  # message 0 is the zero word
     assert rep.method == "exhaustive"
-    assert set(rep.weight_set) == {int(w) for w in np.count_nonzero(words, axis=1)}
+    assert set(rep.weight_set) == {int(w) for w in weights[1:]}
     if code.q == 2:
         assert rep.coherence == np.abs(code.n - 2 * words.sum(axis=1)).max()
     else:
@@ -409,8 +414,18 @@ def test_exhaustive_report_matches_codeword_oracle(code):
     _check_against_oracle(code)
 
 
+@pytest.mark.parametrize("q, k", [(3, 9), (5, 6), (11, 3), (31, 2)])
+def test_exhaustive_weight_counts_beyond_small_codes(q, k):
+    # more messages per projective line, and more lines, than `small_codes`
+    # draws; one repeated and one zero column
+    rng = np.random.default_rng(q * k)
+    gen = np.hstack([np.eye(k, dtype=int), rng.integers(0, q, size=(k, 6))])
+    gen = np.hstack([gen, gen[:, -1:], np.zeros((k, 1), dtype=int)])
+    _check_against_oracle(LinearCode(q=q, generator=gen, known_dual_distance=1))
+
+
 def test_exhaustive_report_over_a_large_prime():
-    # k = 1: a 1-d FFT and the inverses of all 1020 units mod 1021
+    # k = 1: a 1-d FFT and one projective line of 1020 multiples mod 1021
     gen = np.array([[1, 5, 7, 1000, 0, 3, 3, 1020]])
     _check_against_oracle(LinearCode(q=1021, generator=gen,
                                      known_dual_distance=1))
@@ -418,7 +433,7 @@ def test_exhaustive_report_over_a_large_prime():
 
 def test_exhaustive_report_over_the_largest_prime_under_the_budget():
     # k = 1 over q = 2^20 - 3: every nonzero codeword has the weight of the
-    # nonzero columns, and the line numbering reads all q - 1 inverses
+    # nonzero columns, and the one projective line sums all q - 1 multiples
     q = 1_048_573
     gen = np.array([[1, 5, 7, 1000, 0, 3, 3, q - 1]])
     rep = cs.code_report(LinearCode(q=q, generator=gen))
@@ -557,6 +572,23 @@ def test_column_words_match_generator(k):
             for b in range(64):
                 i = 64 * r + b
                 assert word >> b & 1 == (int(gen[i, t]) if i < k else 0)
+
+
+@pytest.mark.parametrize("gen, kept", [
+    ([[1.5, 0.2, 1.9], [0, 1, 1]], False),  # truncation would give [1, 0, 1]
+    ([[float("nan"), 0, 1], [0, 1, 1]], False),
+    ([[2**70, 1]], False),                   # beyond int64
+    (np.array([[1 + 1j, 0, 1], [0, 1, 1]]), False),
+    ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], True),
+])
+def test_generator_entries_must_survive_the_int64_cast(gen, kept):
+    if kept:
+        code = LinearCode(q=2, generator=gen)
+        assert code.generator.dtype == np.int64
+        assert code.generator.tolist() == [[1, 0, 1], [0, 1, 1]]
+    else:
+        with pytest.raises(ParameterError, match="integers within int64"):
+            LinearCode(q=2, generator=gen)
 
 
 def test_generator_file_round_trip(tmp_path, even5):

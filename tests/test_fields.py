@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codespectra import LinearCode, ParameterError, is_primitive_poly, make_gold
+from codespectra import LinearCode, ParameterError, make_gold
 from codespectra.fields import (
     DEFAULT_PRIMITIVE_POLY,
     MAX_PRIME,
@@ -94,18 +94,22 @@ def test_trace_linear_and_frobenius_invariant():
         assert (s[2 * t % n] == s).all(), m
 
 
-def test_is_primitive_poly_examples():
-    assert is_primitive_poly(0b100101, 5)          # x^5+x^2+1
-    assert not is_primitive_poly(0b11111, 4)       # order of x is 5, not 15
-    assert is_primitive_poly(0b111, 2)             # only irreducible quadratic
-    assert not is_primitive_poly(0b100100, 5)      # x divides it
-    with pytest.raises(ParameterError):
-        is_primitive_poly(0b100101, 4)             # degree mismatch
+def test_primitive_modulus_examples():
+    # antilog_table returns all 2^m - 1 powers of x exactly for a primitive
+    # modulus and refuses any other
+    assert antilog_table(0b100101, 5).size == 31   # x^5+x^2+1
+    assert antilog_table(0b111, 2).size == 3       # only irreducible quadratic
+    with pytest.raises(ParameterError, match="not primitive"):
+        antilog_table(0b11111, 4)                  # order of x is 5, not 15
+    with pytest.raises(ParameterError, match="not primitive"):
+        antilog_table(0b100100, 5)                 # x divides it
+    with pytest.raises(ParameterError, match="does not match"):
+        antilog_table(0b100101, 4)                 # degree mismatch
 
 
 def test_shipped_moduli_are_primitive():
     for m, poly in DEFAULT_PRIMITIVE_POLY.items():
-        assert is_primitive_poly(poly, m), m
+        assert antilog_table(poly, m).size == (1 << m) - 1, m
 
 
 def test_field_rejects_non_primitive_modulus():

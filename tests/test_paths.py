@@ -527,10 +527,11 @@ def test_paths_audit_pair_counts_hold_across_orbits(code, lengths):
 
 def test_vertex_tensors_are_shared_by_canonical_coefficients():
     ops = AuditOperands(TERNARY)
-    t1, vars1 = ops.vertex_operand({4: 2, 7: 1, 9: 1})
-    t2, vars2 = ops.vertex_operand({0: 1, 1: 2, 5: 2})  # twice the first
+    # two equations with coefficients (1, 1, 2, 2), summing to 0 mod 3
+    t1, vars1 = ops.vertex_operand({4: 2, 7: 1, 9: 2, 11: 1})
+    t2, vars2 = ops.vertex_operand({0: 1, 1: 2, 5: 1, 6: 2})
     assert t1 is t2
-    assert vars1 == [7, 9, 4] and vars2 == [1, 5, 0]
+    assert vars1 == [7, 11, 4, 9] and vars2 == [0, 5, 1, 6]
     binary = AuditOperands(cs.make_even_weight(4))
     for path in cs.enumerate_closed_classes(4, simple=False):
         cs.count_W(binary.code, path, operands=binary)
