@@ -1,5 +1,7 @@
 """Matrices from linear codes and their spectral statistics."""
 
+from types import ModuleType as _ModuleType
+
 from .codes import (
     CodeReport,
     LinearCode,
@@ -44,6 +46,12 @@ from .spectra import (
     trace_moments,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Submodules are attributes too, but a star import must not bind them:
+# `signal` would shadow the standard library's.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

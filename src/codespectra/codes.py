@@ -63,17 +63,16 @@ class LinearCode:
             )
         if not is_prime(self.q):
             raise ParameterError(f"alphabet size {self.q} is not prime")
-        gen = np.asarray(self.generator)
-        if gen.dtype.kind not in "biu":  # refuse entries the int64 cast changes
-            try:
-                with np.errstate(invalid="ignore"):  # .real: no ComplexWarning
-                    cast = gen.real.astype(np.int64)
-            except (OverflowError, TypeError, ValueError):
-                cast = None
-            if cast is None or not np.array_equal(cast, gen):
-                raise ParameterError("generator entries must be integers within int64")
-            gen = cast
-        gen = np.asarray(gen, dtype=np.int64)
+        try:  # ragged rows fail in np.asarray, non-numbers in the cast
+            gen = np.asarray(self.generator)
+            with np.errstate(invalid="ignore"):  # .real: no ComplexWarning
+                cast = gen.real.astype(np.int64, copy=False)
+        except (OverflowError, TypeError, ValueError):
+            cast = None
+        # Refuse entries the int64 cast changes; an int64 input is its own cast.
+        if cast is None or not np.array_equal(cast, gen):
+            raise ParameterError("generator must be a matrix of integers within int64")
+        gen = cast
         if gen.ndim != 2:
             raise ParameterError("generator must be a 2-d matrix")
         k, n = gen.shape
@@ -295,10 +294,7 @@ def parse_generator(text: str, label: str = "file") -> LinearCode:
         raise ParameterError(
             f"expected {k}x{n} entries after the header, got {len(body)}"
         )
-    try:
-        gen = np.array(body, dtype=np.int64).reshape(k, n)
-    except OverflowError:
-        raise ParameterError("generator entries must fit in 64 bits") from None
+    gen = np.array(body).reshape(k, n)
     return LinearCode(q=q, generator=gen, label=label)
 
 

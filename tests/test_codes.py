@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -580,6 +581,10 @@ def test_column_words_match_generator(k):
     ([[2**70, 1]], False),                   # beyond int64
     (np.array([[1 + 1j, 0, 1], [0, 1, 1]]), False),
     ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], True),
+    ([[1, 0], [1]], False),                  # ragged: np.asarray fails
+    ([[1, 0, 1], [0, 1]], False),
+    ([[[1], [0]], [1]], False),
+    ([[1, 0], [[1], 0]], False),
 ])
 def test_generator_entries_must_survive_the_int64_cast(gen, kept):
     if kept:
@@ -589,6 +594,15 @@ def test_generator_entries_must_survive_the_int64_cast(gen, kept):
     else:
         with pytest.raises(ParameterError, match="integers within int64"):
             LinearCode(q=2, generator=gen)
+
+
+def test_star_import_binds_no_submodule():
+    assert [name for name in cs.__all__
+            if isinstance(getattr(cs, name), types.ModuleType)] == []
+    assert {"LinearCode", "paths_audit", "sample_codewords"} <= set(cs.__all__)
+    namespace = {}
+    exec("import signal\nfrom codespectra import *", namespace)
+    assert namespace["signal"].SIGINT
 
 
 def test_generator_file_round_trip(tmp_path, even5):

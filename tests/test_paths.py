@@ -208,6 +208,12 @@ def test_growth_strings_count_set_partitions():
 def test_double_tree_examples():
     assert cs.is_double_tree(cs.ClosedPath((1, 2, 1)))
     assert not cs.is_double_tree(cs.ClosedPath((1, 2, 3, 1)))
+    for labels in ((1, 1, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 2, 3, 2, 1)):
+        assert cs.is_double_tree(cs.ClosedPath(labels))
+    # the second is a triangle walked forth and back: it reduces to nothing
+    # by adjacent reversals, but crosses three edges on three vertices
+    for labels in ((1, 2, 1, 1, 2, 1), (1, 2, 3, 1, 3, 2, 1)):
+        assert not cs.is_double_tree(cs.ClosedPath(labels))
     l4 = [p for p in cs.enumerate_closed_classes(4, simple=True)
           if cs.is_double_tree(p)]
     assert sorted(p.labels for p in l4) == [(1, 2, 1, 3, 1), (1, 2, 3, 2, 1)]
@@ -216,6 +222,17 @@ def test_double_tree_examples():
 def test_double_tree_edge_revisit_is_rejected():
     # reduces to nothing but revisits the edge {1,2}; not a double tree
     assert not cs.is_double_tree(cs.ClosedPath((1, 2, 1, 2, 1)))
+
+
+def test_double_tree_classes_with_loops_are_motzkin_numbers():
+    # choose the 2e non-loop steps, then a simple double tree on them:
+    # M_l = sum_e C(l, 2e) Catalan(e)
+    motzkin = [sum(comb(ell, 2 * e) * comb(2 * e, e) // (e + 1)
+                   for e in range(ell // 2 + 1)) for ell in range(1, 9)]
+    assert motzkin == [1, 2, 4, 9, 21, 51, 127, 323]
+    for ell, value in zip(range(1, 9), motzkin):
+        classes = cs.enumerate_closed_classes(ell, simple=False)
+        assert sum(cs.is_double_tree(p) for p in classes) == value
 
 
 def test_catalan_identity():
