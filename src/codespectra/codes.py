@@ -66,10 +66,11 @@ class LinearCode:
         try:  # ragged rows fail in np.asarray, non-numbers in the cast
             gen = np.asarray(self.generator)
             with np.errstate(invalid="ignore"):  # .real: no ComplexWarning
-                cast = gen.real.astype(np.int64, copy=False)
+                cast = gen.real.astype(np.int64)
         except (OverflowError, TypeError, ValueError):
             cast = None
-        # Refuse entries the int64 cast changes; an int64 input is its own cast.
+        # Refuse entries the int64 cast changes.  The cast is always a copy, so
+        # freezing it leaves the caller's array writeable.
         if cast is None or not np.array_equal(cast, gen):
             raise ParameterError("generator must be a matrix of integers within int64")
         gen = cast
@@ -186,7 +187,7 @@ def make_rm1(m: int) -> LinearCode:
         )
     n = 1 << m
     t = np.arange(n)
-    gen = np.empty((m + 1, n), dtype=np.int64)
+    gen = np.empty((m + 1, n), dtype=np.uint8)  # LinearCode casts it to int64
     gen[0] = 1
     for i in range(m):
         gen[1 + i] = (t >> i) & 1
@@ -207,8 +208,8 @@ def make_even_weight(n: int) -> LinearCode:
             f"the even-weight generator for n={n} needs {8 * (n - 1) * n} "
             f"bytes, over the budget of {GENERATOR_BYTES_BUDGET}"
         )
-    gen = np.hstack([np.eye(n - 1, dtype=np.int64),
-                     np.ones((n - 1, 1), dtype=np.int64)])
+    gen = np.hstack([np.eye(n - 1, dtype=np.uint8),  # LinearCode casts it to int64
+                     np.ones((n - 1, 1), dtype=np.uint8)])
     return LinearCode(
         q=2,
         generator=gen,

@@ -26,7 +26,8 @@ class SignalMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries)
+        # a read-only view, so the caller's own array stays writeable
+        e = np.asarray(self.entries).view()
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -44,9 +45,8 @@ def sample_message_indices(
 ) -> list[int]:
     """Uniform message indices; distinct mode rejects repeats.
 
-    Rejection terminates fast for p <= N/2; beyond that the whole message
-    space is enumerated and partially Fisher-Yates shuffled, which also
-    covers p = N.
+    Rejection covers every p <= N: the expected number of draws is
+    N (H_N - H_(N-p)), under 1.4 p for p <= N/2 and N H_N for p = N.
     """
     if p < 1:
         raise ParameterError(f"need p >= 1, got {p}")
@@ -57,12 +57,6 @@ def sample_message_indices(
         raise ParameterError(f"unknown sampling mode: {mode!r}")
     if p > big_n:
         raise ParameterError(f"cannot draw {p} distinct codewords from {big_n}")
-    if 2 * p > big_n:
-        pool = list(range(big_n))
-        for i in range(p):
-            j = i + rng.below(big_n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:p]
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < p:

@@ -62,11 +62,7 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
 def _jacobi_real(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     size = a.shape[0]
-    if size == 1:
-        return a.diagonal().copy()
     frob = float(np.linalg.norm(a))
-    if frob == 0.0:
-        return np.zeros(size)
     # exact symmetry by assignment (an addition could turn -0.0 into 0.0),
     # so that each rotated row is also the rotated column
     lower = np.tril_indices(size, -1)
@@ -125,14 +121,14 @@ def eig_hermitian(h: np.ndarray) -> np.ndarray:
     binary Gram matrix, the mirrored rows are bit for bit the rotated
     columns.
 
-    Complex Hermitian H = A + iB goes through the real-symmetric embedding
-    [[A, -B], [B, A]], whose spectrum is that of H with every eigenvalue
-    doubled; the pairs are deduplicated after sorting.
+    Every complex Hermitian H = A + iB, a zero B included, goes through the
+    real-symmetric embedding [[A, -B], [B, A]], whose spectrum is that of H
+    with every eigenvalue doubled; the pairs are deduplicated after sorting.
+    A matrix of size 1, or an all-zero one, passes the first sweep's
+    convergence test and returns its sorted diagonal.
     """
     h = _check_hermitian(h)
     if np.iscomplexobj(h):
-        if np.abs(h.imag).max() == 0.0:
-            return _jacobi_real(h.real)
         a, b = h.real, h.imag
         embedded = np.block([[a, -b], [b, a]])
         doubled = _jacobi_real(embedded)

@@ -146,6 +146,17 @@ def test_rank_check_copy_stays_within_generator_budget():
     assert peak < GENERATOR_BYTES_BUDGET
 
 
+def test_caller_generator_stays_writeable():
+    # the code keeps a read-only copy; the caller's array is not frozen
+    a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+    code = LinearCode(q=2, generator=a)
+    assert a.flags.writeable and not code.generator.flags.writeable
+    words = cs.codewords(code, np.arange(code.N))
+    a[:] = 0
+    assert code.generator.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert (cs.codewords(code, np.arange(code.N)) == words).all()
+
+
 def test_generator_must_have_full_rank():
     with pytest.raises(ParameterError):
         LinearCode(q=2, generator=np.array([[1, 0, 1], [1, 0, 1]]))

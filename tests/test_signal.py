@@ -158,11 +158,32 @@ def test_uniformity_smoke(even5):
 
 
 def test_fallback_enumeration_path(even5):
-    # p > N/2 goes through the partial Fisher-Yates branch
+    # p > N/2 is drawn by rejection, like every other p
     rng = XorShift64Star(7)
     idx = sample_message_indices(even5, 12, MODE_DISTINCT, rng)
     assert len(set(idx)) == 12
     assert all(0 <= i < 16 for i in idx)
+
+
+@pytest.mark.parametrize("label, seed, expected", [
+    ("gold5", 2024, [784, 46, 814, 197, 223, 318, 508, 158]),
+    ("gold5", 31337, [111, 317, 13, 903, 798, 601, 627, 120]),
+    ("even5", 2024, [0, 14, 5, 15, 12, 10, 2, 6]),
+    ("even5", 31337, [15, 13, 7, 14, 9, 3, 8, 4]),
+])
+def test_distinct_draws_pinned(request, label, seed, expected):
+    # p = 8 on Gold m=5 (N = 1024) and on even-weight n=5 at p = N/2 = 8:
+    # the rejection draws behind every sampled command must not move
+    code = request.getfixturevalue(label)
+    rng = XorShift64Star(seed)
+    assert sample_message_indices(code, 8, MODE_DISTINCT, rng) == expected
+
+
+def test_signal_matrix_leaves_caller_array_writeable():
+    rows = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    sig = cs.SignalMatrix(rows)
+    assert rows.flags.writeable and not sig.entries.flags.writeable
+    assert np.shares_memory(sig.entries, rows)  # a view, not a copy
 
 
 def test_rng_stream_independence():

@@ -107,6 +107,25 @@ def test_eig_complex_hermitian_embedding():
     _assert_eig_oracles((x + x.conj().T) / 2)
 
 
+def test_eig_size_one_and_all_zero():
+    # the first sweep's convergence test returns the sorted diagonal
+    assert cs.eig_hermitian(np.array([[-2.5]])).tolist() == [-2.5]
+    assert cs.eig_hermitian(np.array([[3.0 + 0j]])).tolist() == [3.0]
+    for h in (np.zeros((4, 4)), np.zeros((3, 3), dtype=complex)):
+        eigs = cs.eig_hermitian(h)
+        assert eigs.dtype == np.float64 and eigs.tolist() == [0.0] * len(h)
+
+
+@pytest.mark.parametrize("size", [2, 7, 20])
+def test_eig_real_valued_complex_matches_real(size):
+    # a zero imaginary part goes through the doubled embedding, whose two
+    # diagonal blocks rotate independently: every bit of the real solve
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal((size, size))
+    h = (x + x.T) / 2
+    assert cs.eig_hermitian(h.astype(complex)).tobytes() == cs.eig_hermitian(h).tobytes()
+
+
 def test_eig_almost_hermitian_complex_input():
     # an asymmetry of 1e-15 passes the Hermitian check; the solver then works
     # on the upper triangle and must still give the Hermitian part's spectrum
